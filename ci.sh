@@ -10,6 +10,11 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark package (perfbench/, its own workspace) calls the
+# library's public entry points directly; its answer-key tests fail here
+# when a public-API change would break the benchmark build.
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Panic-freedom: no unwrap/expect may creep into non-test code of the
 # untrusted-input crates (see tools/unwrap_allowlist.txt), and a bounded
 # fuzz run over all five drivers (four input surfaces plus the

@@ -59,7 +59,7 @@ fn bench_paper_cases(c: &mut Criterion) {
     group.bench_function("uart_clash", |b| {
         let mut checker = SemanticChecker::new();
         b.iter(|| {
-            let report = checker.check_tree(&clash).expect("decodes");
+            let (report, _) = checker.check_tree(&clash).expect("decodes");
             assert_eq!(report.collisions.len(), 1);
             std::hint::black_box(report.collisions[0].witness)
         });
@@ -80,7 +80,7 @@ fn bench_paper_cases(c: &mut Criterion) {
     group.bench_function("truncation", |b| {
         let mut checker = SemanticChecker::new();
         b.iter(|| {
-            let report = checker.check_tree(&truncated).expect("decodes");
+            let (report, _) = checker.check_tree(&truncated).expect("decodes");
             assert_eq!(report.collisions.len(), 6);
             std::hint::black_box(report.collisions.len())
         });

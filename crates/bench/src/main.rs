@@ -134,11 +134,11 @@ fn scenarios(runs: usize) -> Vec<Measurement> {
         Measurement::time("quadcore_build_warm", runs, {
             let cache = ServiceCache::new();
             Pipeline::new()
-                .run_with_cache(&quad, Some(&cache))
+                .run_observed(&quad, Some(&cache), None)
                 .expect("warm-up builds");
             move || {
                 Pipeline::new()
-                    .run_with_cache(&quad, Some(&cache))
+                    .run_observed(&quad, Some(&cache), None)
                     .expect("quadcore builds")
                     .solver_stats
             }
@@ -282,7 +282,7 @@ fn scale_fresh(
         } else {
             SemanticChecker::new()
         };
-        let sem_report = sem.check_tree(tree).expect("board is interpretable");
+        let (sem_report, _) = sem.check_tree(tree).expect("board is interpretable");
         cost.solves += sem.session_stats().checks;
         cost.cert.merge(&sem.cert_stats());
         let (hits, misses) = sem.encode_counts();
@@ -324,7 +324,7 @@ fn scale_session(
         let mut syn = SyntacticChecker::with_session(tree, schemas, session);
         let report = syn.check();
         session = syn.into_session();
-        let sem_report = sem.check_tree(tree).expect("board is interpretable");
+        let (sem_report, _) = sem.check_tree(tree).expect("board is interpretable");
         verdicts.push((report.violations.len(), sem_report.collisions.len()));
     }
     cost.solves = session.ctx().solver_stats().solves + sem.session_stats().checks;
@@ -1073,9 +1073,7 @@ fn ablation_run(trees: &[llhsc_dts::DeviceTree], combo: u32) -> AblationRow {
         let report = syn.check();
         solver.merge(&syn.solver_stats());
         let mut sem = SemanticChecker::with_solver_config(config);
-        let (sem_report, stats) = sem
-            .check_tree_with_stats(tree)
-            .expect("fixture is interpretable");
+        let (sem_report, stats) = sem.check_tree(tree).expect("fixture is interpretable");
         solver.merge(&stats.solver);
         verdicts.push((report.violations.len(), sem_report.collisions.len()));
     }

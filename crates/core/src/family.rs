@@ -495,9 +495,9 @@ impl FamilyChecker {
                 cov.set_trace(t.clone());
             }
             for r in &family_mem {
-                let (gaps, cov_solver) =
-                    cov.check_coverage_with_stats(std::slice::from_ref(r), &outer);
-                stats.solver.merge(&cov_solver);
+                let before = cov.solver_stats();
+                let gaps = cov.check_coverage(std::slice::from_ref(r), &outer);
+                stats.solver.merge(&cov.solver_stats().delta_since(&before));
                 if !gaps.is_empty() {
                     let t = presence_term(self.session.ctx_mut(), plan, &feat_by_name, &r.path);
                     atoms[ObligationFamily::Coverage.index()].push(t);
@@ -680,7 +680,7 @@ fn check_product_families(
 
     // Semantic: collisions, interrupts and wrapping in one pass.
     let (sem_report, sem_stats) = sem
-        .check_tree_with_stats(&product.tree)
+        .check_tree(&product.tree)
         .map_err(|e| input_error(e.to_string()))?;
     stats.solver.merge(&sem_stats.solver);
     for c in sem_report.collisions {
@@ -713,8 +713,9 @@ fn check_product_families(
     // Coverage against the core module's memory.
     let mem =
         SemanticChecker::memory_regions(&product.tree).map_err(|e| input_error(e.to_string()))?;
-    let (gaps, cov_solver) = sem.check_coverage_with_stats(&mem, outer);
-    stats.solver.merge(&cov_solver);
+    let before = sem.solver_stats();
+    let gaps = sem.check_coverage(&mem, outer);
+    stats.solver.merge(&sem.solver_stats().delta_since(&before));
     for gap in gaps {
         out[ObligationFamily::Coverage.index()].push(
             Diagnostic::error(Stage::Semantic, gap.to_string()).blame(

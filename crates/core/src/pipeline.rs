@@ -22,7 +22,7 @@
 //! keyed on the model and the raw selections, per-product check results
 //! on the derived product itself, and coverage results on the (VM,
 //! platform) product pair. [`Pipeline::run`] is simply
-//! [`Pipeline::run_with_cache`] with no cache.
+//! [`Pipeline::run_observed`] with no cache and no trace.
 
 use std::hash::{Hash, Hasher};
 use std::time::Instant;
@@ -199,33 +199,14 @@ impl Pipeline {
         Pipeline::default()
     }
 
-    /// Runs the workflow without a result cache.
+    /// Runs the workflow without a result cache or tracing.
     ///
     /// # Errors
     ///
     /// Returns [`PipelineError`] carrying diagnostics if any checker
     /// rejects the configuration or any generation step fails.
     pub fn run(&self, input: &PipelineInput) -> Result<PipelineOutput, PipelineError> {
-        self.run_with_cache(input, None)
-    }
-
-    /// Runs the workflow, serving solver-bearing stage results from
-    /// `cache` where the content-addressed keys match and storing
-    /// freshly computed results back. With `None` this is exactly
-    /// [`Pipeline::run`]; with a warm cache the diagnostics, rendered
-    /// outputs and verdict are byte-identical to an uncached run but no
-    /// solver is invoked for the cached stages.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError`] carrying diagnostics if any checker
-    /// rejects the configuration or any generation step fails.
-    pub fn run_with_cache(
-        &self,
-        input: &PipelineInput,
-        cache: Option<&dyn PipelineCache>,
-    ) -> Result<PipelineOutput, PipelineError> {
-        self.run_observed(input, cache, None)
+        self.run_observed(input, None, None)
     }
 
     /// Family-level verification of the whole product line: one lifted
@@ -256,8 +237,13 @@ impl Pipeline {
         checker.check_cached(input, mode, cache)
     }
 
-    /// [`Pipeline::run_with_cache`] with structured tracing: when
-    /// `trace` is given, the run records a span tree
+    /// Runs the workflow, serving solver-bearing stage results from
+    /// `cache` where the content-addressed keys match and storing
+    /// freshly computed results back. With a warm cache the
+    /// diagnostics, rendered outputs and verdict are byte-identical to
+    /// an uncached run but no solver is invoked for the cached stages.
+    ///
+    /// When `trace` is given, the run records a span tree
     /// `pipeline → stage → product_check → solve` on its tracer —
     /// one stage span per Fig. 2 stage, one `product_check` span per
     /// derived tree (annotated with its `cache_hit` outcome and VM
@@ -266,9 +252,10 @@ impl Pipeline {
     ///
     /// # Errors
     ///
-    /// As [`Pipeline::run_with_cache`]. The span tree is complete on
-    /// both paths: a rejected configuration still closes every span it
-    /// opened.
+    /// Returns [`PipelineError`] carrying diagnostics if any checker
+    /// rejects the configuration or any generation step fails. The span
+    /// tree is complete on both paths: a rejected configuration still
+    /// closes every span it opened.
     pub fn run_observed(
         &self,
         input: &PipelineInput,
@@ -575,9 +562,9 @@ impl Pipeline {
                         _ => {
                             let mut out = Vec::new();
                             if let Ok(vm_memory) = SemanticChecker::memory_regions(&product.tree) {
-                                let (gaps, cov_solver) =
-                                    checker.check_coverage_with_stats(&vm_memory, &platform_memory);
-                                solver_totals.merge(&cov_solver);
+                                let before = checker.solver_stats();
+                                let gaps = checker.check_coverage(&vm_memory, &platform_memory);
+                                solver_totals.merge(&checker.solver_stats().delta_since(&before));
                                 for gap in gaps {
                                     let blamed = product
                                         .blame_subtree(&gap.region.path)
@@ -762,7 +749,7 @@ impl Pipeline {
             if let Some(span) = &span {
                 checker.set_trace(span.child());
             }
-            let outcome = checker.check_tree_with_stats(&product.tree);
+            let outcome = checker.check_tree(&product.tree);
             session_work.merge(&checker.session_stats());
             StageSpan::finish(span);
             match outcome {
@@ -1062,13 +1049,13 @@ mod tests {
         let cache = TestCache::default();
         let pipeline = Pipeline::new();
         let cold = pipeline
-            .run_with_cache(&input, Some(&cache))
+            .run_observed(&input, Some(&cache), None)
             .expect("cold run succeeds");
         let cold_misses = cache.misses.load(Ordering::SeqCst);
         assert!(cold_misses > 0, "cold run must miss");
 
         let warm = pipeline
-            .run_with_cache(&input, Some(&cache))
+            .run_observed(&input, Some(&cache), None)
             .expect("warm run succeeds");
         assert_eq!(
             cache.misses.load(Ordering::SeqCst),
@@ -1095,9 +1082,13 @@ mod tests {
         input.deltas = llhsc_delta::DeltaModule::parse_all(&deltas_src).unwrap();
         let cache = TestCache::default();
         let pipeline = Pipeline::new();
-        let cold = pipeline.run_with_cache(&input, Some(&cache)).unwrap_err();
+        let cold = pipeline
+            .run_observed(&input, Some(&cache), None)
+            .unwrap_err();
         let misses = cache.misses.load(Ordering::SeqCst);
-        let warm = pipeline.run_with_cache(&input, Some(&cache)).unwrap_err();
+        let warm = pipeline
+            .run_observed(&input, Some(&cache), None)
+            .unwrap_err();
         assert_eq!(cache.misses.load(Ordering::SeqCst), misses);
         assert_eq!(rendered(&cold.diagnostics), rendered(&warm.diagnostics));
     }
@@ -1108,9 +1099,13 @@ mod tests {
         input.vms[1].features = vec!["memory".into(), "cpu@0".into()];
         let cache = TestCache::default();
         let pipeline = Pipeline::new();
-        let cold = pipeline.run_with_cache(&input, Some(&cache)).unwrap_err();
+        let cold = pipeline
+            .run_observed(&input, Some(&cache), None)
+            .unwrap_err();
         let misses = cache.misses.load(Ordering::SeqCst);
-        let warm = pipeline.run_with_cache(&input, Some(&cache)).unwrap_err();
+        let warm = pipeline
+            .run_observed(&input, Some(&cache), None)
+            .unwrap_err();
         assert_eq!(cache.misses.load(Ordering::SeqCst), misses);
         assert_eq!(rendered(&cold.diagnostics), rendered(&warm.diagnostics));
     }
@@ -1122,10 +1117,10 @@ mod tests {
         let pipeline = Pipeline::new();
         let plain = pipeline.run(&input).expect("uncached run");
         pipeline
-            .run_with_cache(&input, Some(&cache))
+            .run_observed(&input, Some(&cache), None)
             .expect("cold cached run");
         let warm = pipeline
-            .run_with_cache(&input, Some(&cache))
+            .run_observed(&input, Some(&cache), None)
             .expect("warm cached run");
         assert_eq!(rendered(&plain.diagnostics), rendered(&warm.diagnostics));
         assert_eq!(plain.vm_dts, warm.vm_dts);
@@ -1205,7 +1200,7 @@ mod tests {
         let cache = TestCache::default();
         let pipeline = Pipeline::new();
         pipeline
-            .run_with_cache(&input, Some(&cache))
+            .run_observed(&input, Some(&cache), None)
             .expect("cold run");
         let misses_before = cache.misses.load(Ordering::SeqCst);
 
@@ -1217,7 +1212,7 @@ mod tests {
         assert_ne!(deltas_src, running_example::DELTAS, "edit must apply");
         edited.deltas = llhsc_delta::DeltaModule::parse_all(&deltas_src).unwrap();
         pipeline
-            .run_with_cache(&edited, Some(&cache))
+            .run_observed(&edited, Some(&cache), None)
             .expect("edited run");
         // New misses: vm1's product check, the platform's product
         // check, and both coverage pairs (the platform side of the pair

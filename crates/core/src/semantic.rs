@@ -122,6 +122,14 @@ pub struct SemanticChecker {
     /// devices (on by default; the paper's conclusions name interrupts
     /// as the second semantic property family).
     pub check_interrupts: bool,
+    /// Translate every region through the `ranges` tables of its
+    /// ancestor buses before checking, so disjointness is decided on
+    /// CPU-visible *absolute* addresses (off by default). This catches
+    /// cross-bus collisions that are invisible bus-locally (two devices
+    /// on different bridges whose windows map onto the same physical
+    /// range). Devices on buses without a `ranges` property are not
+    /// root-addressable and are skipped.
+    pub translate_ranges: bool,
     /// `compatible` strings identifying *virtual* devices. Their
     /// regions live in guest RAM by design (shared-memory IPC, Listing
     /// 6), so they are exempt from physical-overlap checking and only
@@ -145,6 +153,7 @@ impl SemanticChecker {
     pub fn new() -> SemanticChecker {
         SemanticChecker {
             check_interrupts: true,
+            translate_ranges: false,
             virtual_compatibles: vec!["veth".to_string(), "shmem".to_string()],
             trace: None,
             session: SolverSession::new(),
@@ -184,6 +193,11 @@ impl SemanticChecker {
         self.session.export_proof()
     }
 
+    /// Solver counters accumulated by the checker's persistent session.
+    pub fn solver_stats(&self) -> SolverStats {
+        self.session.ctx().solver_stats()
+    }
+
     /// Reuse counters of the checker's persistent solver session.
     pub fn session_stats(&self) -> SessionStats {
         self.session.stats()
@@ -212,69 +226,22 @@ impl SemanticChecker {
         self.session.set_progress(sink);
     }
 
-    /// Builder form of [`set_trace`](SemanticChecker::set_trace).
-    #[must_use]
-    pub fn with_trace(mut self, trace: TraceCtx) -> SemanticChecker {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Creates a checker with only the memory-overlap rule (ablation).
-    pub fn memory_only() -> SemanticChecker {
-        SemanticChecker {
-            check_interrupts: false,
-            ..SemanticChecker::new()
-        }
-    }
-
     /// Checks a whole tree: decodes every `reg` under its parent's cell
-    /// counts and verifies pairwise disjointness.
+    /// counts (translated to absolute addresses when
+    /// [`translate_ranges`](SemanticChecker::translate_ranges) is set)
+    /// and verifies pairwise disjointness. Also returns the cost
+    /// counters of the region-disjointness check.
     ///
     /// # Errors
     ///
-    /// Propagates [`DtsError`] when a `reg` property cannot be decoded
-    /// (wrong arity — which the syntactic checker reports with more
-    /// context).
-    pub fn check_tree(&mut self, tree: &DeviceTree) -> Result<SemanticReport, DtsError> {
-        Ok(self.check_tree_with(tree, false)?.0)
-    }
-
-    /// [`check_tree`](SemanticChecker::check_tree), also returning the
-    /// cost counters of the region-disjointness check.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`DtsError`] as [`check_tree`] does.
-    ///
-    /// [`check_tree`]: SemanticChecker::check_tree
-    pub fn check_tree_with_stats(
+    /// Propagates [`DtsError`] when a `reg` (or, when translating,
+    /// `ranges`) property cannot be decoded (wrong arity — which the
+    /// syntactic checker reports with more context).
+    pub fn check_tree(
         &mut self,
         tree: &DeviceTree,
     ) -> Result<(SemanticReport, RegionCheckStats), DtsError> {
-        self.check_tree_with(tree, false)
-    }
-
-    /// Like [`SemanticChecker::check_tree`], but first translates every
-    /// region through the `ranges` tables of its ancestor buses, so the
-    /// disjointness check runs on CPU-visible *absolute* addresses.
-    /// This catches cross-bus collisions that are invisible bus-locally
-    /// (two devices on different bridges whose windows map onto the
-    /// same physical range). Devices on buses without a `ranges`
-    /// property are not root-addressable and are skipped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates `reg`/`ranges` decoding errors.
-    pub fn check_tree_translated(&mut self, tree: &DeviceTree) -> Result<SemanticReport, DtsError> {
-        Ok(self.check_tree_with(tree, true)?.0)
-    }
-
-    fn check_tree_with(
-        &mut self,
-        tree: &DeviceTree,
-        translated: bool,
-    ) -> Result<(SemanticReport, RegionCheckStats), DtsError> {
-        let refs = self.collect_refs_with(tree, translated)?;
+        let refs = self.collect_refs(tree)?;
         let (collisions, stats) = self.check_regions_with_stats(&refs);
         let interrupt_conflicts = if self.check_interrupts {
             interrupt_conflicts(tree)
@@ -298,20 +265,15 @@ impl SemanticChecker {
     /// addresses under `#size-cells = 0` occupy no address space) and
     /// virtual devices are flagged per
     /// [`virtual_compatibles`](SemanticChecker::virtual_compatibles).
+    /// Addresses are bus-local unless
+    /// [`translate_ranges`](SemanticChecker::translate_ranges) is set.
     ///
     /// # Errors
     ///
-    /// Propagates [`DtsError`] when a `reg` property cannot be decoded.
+    /// Propagates [`DtsError`] when a `reg` (or, when translating,
+    /// `ranges`) property cannot be decoded.
     pub fn collect_refs(&self, tree: &DeviceTree) -> Result<Vec<RegionRef>, DtsError> {
-        self.collect_refs_with(tree, false)
-    }
-
-    fn collect_refs_with(
-        &self,
-        tree: &DeviceTree,
-        translated: bool,
-    ) -> Result<Vec<RegionRef>, DtsError> {
-        let devices = if translated {
+        let devices = if self.translate_ranges {
             collect_regions_translated(tree)?
         } else {
             collect_regions(tree)?
@@ -365,16 +327,6 @@ impl SemanticChecker {
     /// Kept as the semantic reference the sweep-prefiltered path is
     /// cross-checked against (and for ablation measurements).
     pub fn check_regions_exhaustive(&mut self, refs: &[RegionRef]) -> Vec<Collision> {
-        self.check_regions_exhaustive_with_stats(refs).0
-    }
-
-    /// [`check_regions_exhaustive`], also returning run counters.
-    ///
-    /// [`check_regions_exhaustive`]: SemanticChecker::check_regions_exhaustive
-    pub fn check_regions_exhaustive_with_stats(
-        &mut self,
-        refs: &[RegionRef],
-    ) -> (Vec<Collision>, RegionCheckStats) {
         let mut pairs = Vec::new();
         for i in 0..refs.len() {
             for j in (i + 1)..refs.len() {
@@ -391,7 +343,7 @@ impl SemanticChecker {
                 }
             }
         }
-        self.solve_pairs(refs, &pairs)
+        self.solve_pairs(refs, &pairs).0
     }
 
     /// Shared encoding + core-peeling loop over the persistent session:
@@ -651,24 +603,14 @@ impl SemanticChecker {
     /// memory is backed by platform memory ("the addresses inside the
     /// DTSs of the VMs must be translated into their machine
     /// counterparts internally to the hypervisor", §IV-C). Returns a
-    /// witness address per uncovered region.
+    /// witness address per uncovered region. The queries' solver cost
+    /// is the [`solver_stats`](SemanticChecker::solver_stats) delta
+    /// across the call. When a trace context is attached, each
+    /// per-region query records a `"solve"` span under it.
     pub fn check_coverage(&mut self, inner: &[RegionRef], outer: &[RegionRef]) -> Vec<CoverageGap> {
-        self.check_coverage_with_stats(inner, outer).0
-    }
-
-    /// [`check_coverage`](SemanticChecker::check_coverage), also
-    /// returning the solver counters the queries cost. When a trace
-    /// context is attached, each per-region query records a `"solve"`
-    /// span under it.
-    pub fn check_coverage_with_stats(
-        &mut self,
-        inner: &[RegionRef],
-        outer: &[RegionRef],
-    ) -> (Vec<CoverageGap>, SolverStats) {
         if let Some(trace) = &self.trace {
             self.session.ctx_mut().set_trace(trace.clone());
         }
-        let solver_before = self.session.ctx().solver_stats();
 
         // The platform slice: `coverage_x` lies outside every outer
         // region. Keyed by the outer regions' content, so every VM
@@ -710,15 +652,10 @@ impl SemanticChecker {
                 });
             }
         }
-        let stats = self
-            .session
-            .ctx()
-            .solver_stats()
-            .delta_since(&solver_before);
         if self.trace.is_some() {
             self.session.ctx_mut().clear_trace();
         }
-        (out, stats)
+        out
     }
 
     /// Checks that every region's base and size are multiples of
@@ -982,7 +919,7 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let r = SemanticChecker::new().check_tree(&t).unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
         assert!(r.is_ok(), "{:?}", r.collisions);
         assert_eq!(r.regions_checked, 4);
     }
@@ -1008,7 +945,7 @@ mod tests {
         )
         .unwrap();
         let mut checker = SemanticChecker::with_certification();
-        let (r, _stats) = checker.check_tree_with_stats(&t).unwrap();
+        let r = checker.check_tree(&t).unwrap().0;
         assert_eq!(r.collisions.len(), 1, "{:?}", r.collisions);
         let cert = checker.cert_stats();
         assert!(cert.proofs > 0, "the UNSAT verdict must carry a proof");
@@ -1034,7 +971,7 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let baseline = SemanticChecker::new().check_tree(&t).unwrap();
+        let baseline = SemanticChecker::new().check_tree(&t).unwrap().0;
         for combo in 0u32..16 {
             let config = SolverConfig {
                 chrono_backtrack: combo & 1 != 0,
@@ -1045,7 +982,8 @@ mod tests {
             };
             let r = SemanticChecker::with_solver_config(config)
                 .check_tree(&t)
-                .unwrap();
+                .unwrap()
+                .0;
             assert_eq!(
                 r.collisions.len(),
                 baseline.collisions.len(),
@@ -1072,7 +1010,7 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let r = SemanticChecker::new().check_tree(&t).unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
         assert_eq!(r.collisions.len(), 1);
         let c = &r.collisions[0];
         assert_eq!(c.a.path, "/memory@40000000");
@@ -1100,7 +1038,7 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let r = SemanticChecker::new().check_tree(&t).unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
         assert!(!r.is_ok());
         // Four banks all based at 0 → every pair overlaps.
         assert_eq!(r.regions_checked, 4);
@@ -1219,7 +1157,7 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let r = SemanticChecker::new().check_tree(&t).unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
         assert!(r.is_ok());
         assert_eq!(r.regions_checked, 0);
     }
@@ -1235,13 +1173,15 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let r = SemanticChecker::new().check_tree(&t).unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
         assert!(!r.is_ok());
         assert_eq!(r.interrupt_conflicts.len(), 1);
         assert_eq!(r.interrupt_conflicts[0].0, 7);
         assert_eq!(r.interrupt_conflicts[0].1.len(), 2);
         // Ablation: the memory-only checker ignores it.
-        let r2 = SemanticChecker::memory_only().check_tree(&t).unwrap();
+        let mut memory_only = SemanticChecker::new();
+        memory_only.check_interrupts = false;
+        let r2 = memory_only.check_tree(&t).unwrap().0;
         assert!(r2.is_ok());
     }
 
@@ -1272,11 +1212,12 @@ mod tests {
         .unwrap();
         let mut checker = SemanticChecker::new();
         // Bus-local view: no collision (0x0.. vs 0x1000..).
-        let local = checker.check_tree(&t).unwrap();
+        let local = checker.check_tree(&t).unwrap().0;
         assert!(local.is_ok(), "{:?}", local.collisions);
         // Absolute view: [0xf0000000, 0xf0001000) overlaps
         // [0xf0000800, 0xf0001800).
-        let abs = checker.check_tree_translated(&t).unwrap();
+        checker.translate_ranges = true;
+        let abs = checker.check_tree(&t).unwrap().0;
         assert_eq!(abs.collisions.len(), 1);
         let c = &abs.collisions[0];
         assert!(c.witness >= 0xf000_0800);
@@ -1300,7 +1241,9 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let r = SemanticChecker::new().check_tree_translated(&t).unwrap();
+        let mut checker = SemanticChecker::new();
+        checker.translate_ranges = true;
+        let r = checker.check_tree(&t).unwrap().0;
         assert!(r.is_ok(), "{:?}", r.collisions);
         assert_eq!(r.regions_checked, 3);
     }
@@ -1322,7 +1265,7 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let r = SemanticChecker::new().check_tree(&t).unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
         assert!(
             r.interrupt_conflicts.is_empty(),
             "{:?}",
@@ -1341,7 +1284,7 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let r = SemanticChecker::new().check_tree(&clash).unwrap();
+        let r = SemanticChecker::new().check_tree(&clash).unwrap().0;
         assert_eq!(r.interrupt_conflicts.len(), 1);
         assert_eq!(r.interrupt_conflicts[0].0, 7);
     }
@@ -1364,7 +1307,7 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let r = SemanticChecker::new().check_tree(&t).unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
         assert_eq!(
             r.interrupt_conflicts.len(),
             1,
@@ -1389,7 +1332,7 @@ mod tests {
             };"#,
         )
         .unwrap();
-        let r = SemanticChecker::new().check_tree(&t).unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
         assert!(
             r.interrupt_conflicts.is_empty(),
             "{:?}",

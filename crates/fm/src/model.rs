@@ -274,11 +274,6 @@ impl FeatureModel {
         (0..self.features.len() as u32).map(FeatureId)
     }
 
-    /// All concrete (non-abstract) feature ids.
-    pub fn concrete_ids(&self) -> impl Iterator<Item = FeatureId> + '_ {
-        self.ids().filter(|&id| !self.feature(id).is_abstract)
-    }
-
     /// The cross-tree constraints.
     pub fn constraints(&self) -> &[CrossConstraint] {
         &self.constraints

@@ -150,15 +150,6 @@ impl Tracer {
         }
     }
 
-    /// Duration of a finished span, 0 if open or unknown.
-    pub fn duration_us(&self, id: SpanId) -> u64 {
-        self.lock()
-            .spans
-            .get(id.0 as usize)
-            .and_then(|s| s.dur_us)
-            .unwrap_or(0)
-    }
-
     /// Snapshot of every span recorded so far, in creation order.
     pub fn spans(&self) -> Vec<SpanRecord> {
         self.lock().spans.clone()

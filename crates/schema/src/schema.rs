@@ -64,18 +64,6 @@ impl PropRule {
         }
     }
 
-    /// Requires the exact string value.
-    pub fn const_string(mut self, v: &str) -> PropRule {
-        self.const_str = Some(v.to_string());
-        self
-    }
-
-    /// Requires the exact `u32` value.
-    pub fn const_cell(mut self, v: u32) -> PropRule {
-        self.const_u32 = Some(v);
-        self
-    }
-
     /// Restricts string values to an enumeration.
     pub fn one_of<I: IntoIterator<Item = S>, S: Into<String>>(mut self, vs: I) -> PropRule {
         self.enum_str = vs.into_iter().map(Into::into).collect();
@@ -162,12 +150,6 @@ impl Schema {
     /// Adds a node-name selector.
     pub fn select_node_name(mut self, name: &str) -> Schema {
         self.selects.push(Select::NodeName(name.to_string()));
-        self
-    }
-
-    /// Adds a `device_type` selector.
-    pub fn select_device_type(mut self, dt: &str) -> Schema {
-        self.selects.push(Select::DeviceType(dt.to_string()));
         self
     }
 

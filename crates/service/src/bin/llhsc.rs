@@ -42,8 +42,7 @@ use llhsc_obs::{TraceCtx, Tracer};
 use llhsc_schema::SchemaSet;
 use llhsc_service::json::Json;
 use llhsc_service::{
-    check_report_json_with_proof, check_tree_certified, check_tree_observed, check_tree_traced,
-    client, server, ServerConfig, StderrProgress,
+    check_report_json, check_tree_with, client, server, CheckOptions, ServerConfig, StderrProgress,
 };
 
 /// Where `llhsc serve` listens and `llhsc client` connects unless
@@ -119,8 +118,7 @@ fn usage() -> ExitCode {
            --report-json <file>  write the machine-readable check report\n\
                               (check, client check)\n\
            --progress         print a live in-solve heartbeat line to stderr\n\
-                              every solver heartbeat (check; not emitted\n\
-                              during a --certify replay)\n\
+                              every solver heartbeat (check)\n\
            --certify          replay every UNSAT verdict's DRAT proof through\n\
                               the in-tree checker before reporting (check)\n\
            --proof <prefix>   --certify, plus write each stage's formula and\n\
@@ -1167,18 +1165,13 @@ fn cmd_check(mut args: Vec<String>, stats: bool) -> ExitCode {
         None if report_path.is_some() => Some(Arc::new(Tracer::zeroed())),
         None => None,
     };
-    let ctx = tracer.as_ref().map(|t| TraceCtx::new(Arc::clone(t)));
-    let (outcome, bundles) = if certify {
-        check_tree_certified(&tree, ctx.as_ref())
-    } else if progress {
-        let sink = Arc::new(StderrProgress::from_env());
-        (
-            check_tree_observed(&tree, ctx.as_ref(), sink as Arc<dyn llhsc::ProgressSink>),
-            Vec::new(),
-        )
-    } else {
-        (check_tree_traced(&tree, ctx.as_ref()), Vec::new())
+    let options = CheckOptions {
+        trace: tracer.as_ref().map(|t| TraceCtx::new(Arc::clone(t))),
+        progress: progress
+            .then(|| Arc::new(StderrProgress::from_env()) as Arc<dyn llhsc::ProgressSink>),
+        certify,
     };
+    let outcome = check_tree_with(&tree, &options);
     eprint!("{}", outcome.report.stderr);
     print!("{}", outcome.report.stdout);
     if let Some(cert) = &outcome.cert {
@@ -1186,13 +1179,13 @@ fn cmd_check(mut args: Vec<String>, stats: bool) -> ExitCode {
         // to check panics inside the solver session instead.
         println!(
             "certified: {} UNSAT verdict(s), {} proof step(s), {} lemma(s) checked",
-            cert.proofs, cert.steps, cert.checked
+            cert.stats.proofs, cert.stats.steps, cert.stats.checked
         );
     }
-    if let Some(prefix) = &proof_prefix {
+    if let (Some(prefix), Some(cert)) = (&proof_prefix, &outcome.cert) {
         // A stage that never answered Unsat has nothing to refute: no
         // files, rather than a vacuous proof `llhsc drat` would reject.
-        for b in bundles.iter().filter(|b| !b.proof.is_empty()) {
+        for b in cert.proofs.iter().filter(|b| !b.proof.is_empty()) {
             let cnf_path = format!("{prefix}.{}.cnf", b.stage);
             let drat_path = format!("{prefix}.{}.drat", b.stage);
             let mut cnf_bytes = Vec::new();
@@ -1219,14 +1212,7 @@ fn cmd_check(mut args: Vec<String>, stats: bool) -> ExitCode {
     }
     if let Some(report_path) = report_path {
         let spans = tracer.as_ref().map(|t| t.spans()).unwrap_or_default();
-        let doc = check_report_json_with_proof(
-            &outcome.report,
-            &outcome.stats,
-            &outcome.solver,
-            &outcome.session,
-            &spans,
-            outcome.cert.as_ref(),
-        );
+        let doc = check_report_json(&outcome, &spans);
         let mut bytes = doc.to_string();
         bytes.push('\n');
         if write_output(Path::new(&report_path), bytes.as_bytes()).is_err() {

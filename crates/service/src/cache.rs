@@ -4,9 +4,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use llhsc::{CacheClass, CacheEntry, PipelineCache, RegionCheckStats, SessionStats, SolverStats};
+use llhsc::{CacheClass, CacheEntry, PipelineCache};
 
-use crate::check::CheckReport;
+use crate::check::CheckOutcome;
 
 /// A cached whole-tree `check` outcome: the rendered report plus the
 /// cost counters of the original fresh run. Replayed on every hit, so a
@@ -14,14 +14,8 @@ use crate::check::CheckReport;
 /// whether the verdict was computed or replayed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CachedTreeCheck {
-    /// The rendered report.
-    pub report: CheckReport,
-    /// Semantic-checker cost counters of the fresh run.
-    pub stats: RegionCheckStats,
-    /// Solver totals of the fresh run.
-    pub solver: SolverStats,
-    /// Session reuse counters of the fresh run.
-    pub session: SessionStats,
+    /// The fresh run's outcome.
+    pub outcome: CheckOutcome,
     /// Span tree of the fresh run (recorded against a zeroed clock),
     /// replayed into the report document on cache hits.
     pub spans: Vec<llhsc_obs::SpanRecord>,
@@ -274,15 +268,19 @@ mod tests {
         let cache = ServiceCache::new();
         assert!(cache.get_tree(9).is_none());
         let check = CachedTreeCheck {
-            report: CheckReport {
-                stdout: "checked: ok\n".into(),
-                stderr: String::new(),
-                clean: true,
-                input_error: false,
+            outcome: CheckOutcome {
+                report: crate::check::CheckReport {
+                    stdout: "checked: ok\n".into(),
+                    stderr: String::new(),
+                    clean: true,
+                    input_error: false,
+                },
+                stats: Default::default(),
+                solver: Default::default(),
+                session: Default::default(),
+                elapsed: Default::default(),
+                cert: None,
             },
-            stats: RegionCheckStats::default(),
-            solver: SolverStats::default(),
-            session: SessionStats::default(),
             spans: Vec::new(),
         };
         cache.put_tree(9, check.clone());

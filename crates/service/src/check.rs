@@ -1,7 +1,7 @@
 //! Single-tree checking with the exact rendering of `llhsc check`.
 //!
 //! Both the local CLI command and the daemon's `check` op produce their
-//! output through [`check_tree`], so `llhsc client check` is
+//! output through [`check_tree_with`], so `llhsc client check` is
 //! byte-identical to `llhsc check` by construction — the bytes come
 //! from one function, only the transport differs.
 
@@ -33,7 +33,7 @@ pub struct CheckReport {
 }
 
 /// A [`CheckReport`] plus the instrumentation `--stats` renders.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CheckOutcome {
     /// The rendered report.
     pub report: CheckReport,
@@ -49,18 +49,28 @@ pub struct CheckOutcome {
     pub session: SessionStats,
     /// Wall-clock time of the semantic check.
     pub elapsed: Duration,
-    /// DRAT certification counters, summed over the syntactic and
-    /// semantic sessions. `None` unless the check ran through
-    /// [`check_tree_certified`]. When present, every `Unsat` verdict the
-    /// check produced was replayed through the in-tree DRAT checker
+    /// DRAT certification results. `None` unless the check ran with
+    /// [`CheckOptions::certify`]. When present, every `Unsat` verdict
+    /// the check produced was replayed through the in-tree DRAT checker
     /// before being reported (an invalid proof panics — a verdict never
     /// silently survives a failed certification).
-    pub cert: Option<CertStats>,
+    pub cert: Option<Certification>,
+}
+
+/// What a certified check proved, and the material to re-check it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Certification {
+    /// Certification counters, summed over the syntactic and semantic
+    /// sessions.
+    pub stats: CertStats,
+    /// Per-stage formula/proof pairs for archival (e.g. `llhsc check
+    /// --proof`); a stage whose session exported nothing is absent.
+    pub proofs: Vec<ProofBundle>,
 }
 
 /// One stage's exported refutation material: the accumulated formula
 /// and the DRAT proof the stage's solver emitted over it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProofBundle {
     /// `"syntactic"` or `"semantic"`.
     pub stage: &'static str,
@@ -70,75 +80,59 @@ pub struct ProofBundle {
     pub proof: Vec<ProofStep>,
 }
 
+/// How [`check_tree_with`] runs. The default is a plain, unobserved,
+/// uncertified check. No setting changes the rendered bytes or any
+/// solver counter.
+#[derive(Clone, Default)]
+pub struct CheckOptions {
+    /// When set, the run records a `"check"` span parenting one
+    /// `"syntactic"` and one `"semantic"` stage span, each parenting the
+    /// `"solve"` spans of its checker's solver calls.
+    pub trace: Option<TraceCtx>,
+    /// In-solve progress telemetry: the sink receives a
+    /// [`llhsc::Heartbeat`] every `heartbeat_every` conflicts from both
+    /// stages' solvers (syntactic rule solves and semantic disjointness
+    /// queries). Heartbeats are observation-only.
+    pub progress: Option<Arc<dyn ProgressSink>>,
+    /// Run over *certifying* solver sessions: every `Unsat` verdict
+    /// either checker produces emits a DRAT proof that is replayed
+    /// through the in-tree backward checker before the verdict is
+    /// reported, and [`CheckOutcome::cert`] is populated.
+    pub certify: bool,
+}
+
 /// Runs the syntactic + semantic checkers over one tree against the
 /// standard schema set, rendering findings exactly as `llhsc check`
 /// always has.
 pub fn check_tree(tree: &DeviceTree) -> CheckOutcome {
-    check_tree_traced(tree, None)
+    check_tree_with(tree, &CheckOptions::default())
 }
 
-/// [`check_tree`] with structured tracing: when `trace` is given, the
-/// run records a `"check"` span parenting one `"syntactic"` and one
-/// `"semantic"` stage span, each parenting the `"solve"` spans of its
-/// checker's solver calls. The rendered bytes are identical to an
-/// untraced run.
-pub fn check_tree_traced(tree: &DeviceTree, trace: Option<&TraceCtx>) -> CheckOutcome {
-    check_tree_inner(tree, trace, false, None).0
-}
-
-/// [`check_tree_traced`] with in-solve progress telemetry: the sink
-/// receives a [`llhsc::Heartbeat`] every `heartbeat_every` conflicts
-/// from both stages' solvers (syntactic rule solves and semantic
-/// disjointness queries). Heartbeats are observation-only — the
-/// rendered bytes and every solver counter are identical to an
-/// unobserved run.
-pub fn check_tree_observed(
-    tree: &DeviceTree,
-    trace: Option<&TraceCtx>,
-    progress: Arc<dyn ProgressSink>,
-) -> CheckOutcome {
-    check_tree_inner(tree, trace, false, Some(progress)).0
-}
-
-/// [`check_tree_traced`] over *certifying* solver sessions: every
-/// `Unsat` verdict either checker produces emits a DRAT proof that is
-/// replayed through the in-tree backward checker before the verdict is
-/// reported. The rendered bytes are identical to an uncertified run;
-/// the outcome's [`CheckOutcome::cert`] counters are populated and the
-/// per-stage formula/proof pairs are returned for archival (e.g.
-/// `llhsc check --proof`).
-pub fn check_tree_certified(
-    tree: &DeviceTree,
-    trace: Option<&TraceCtx>,
-) -> (CheckOutcome, Vec<ProofBundle>) {
-    check_tree_inner(tree, trace, true, None)
-}
-
-fn check_tree_inner(
-    tree: &DeviceTree,
-    trace: Option<&TraceCtx>,
-    certify: bool,
-    progress: Option<Arc<dyn ProgressSink>>,
-) -> (CheckOutcome, Vec<ProofBundle>) {
+/// [`check_tree`] with tracing, progress telemetry and certification
+/// as `options` asks.
+pub fn check_tree_with(tree: &DeviceTree, options: &CheckOptions) -> CheckOutcome {
     use std::fmt::Write as _;
     let mut stdout = String::new();
     let mut stderr = String::new();
     let mut failed = false;
     let mut input_error = false;
 
-    let root = trace.map(|t| (t.clone(), t.begin("check")));
+    let root = options
+        .trace
+        .as_ref()
+        .map(|t| (t.clone(), t.begin("check")));
     let scoped = root.as_ref().map(|(t, id)| t.at(*id));
     let trace = scoped.as_ref();
     let mut solver = SolverStats::default();
     let mut session = SessionStats::default();
 
     let syn_span = trace.map(|t| (t, t.begin("syntactic")));
-    let mut syn_session = if certify {
+    let mut syn_session = if options.certify {
         SolverSession::with_certification()
     } else {
         SolverSession::new()
     };
-    if let Some(sink) = &progress {
+    if let Some(sink) = &options.progress {
         syn_session.set_progress(Arc::clone(sink));
     }
     let mut syn_checker = SyntacticChecker::with_session(tree, &SchemaSet::standard(), syn_session);
@@ -164,18 +158,18 @@ fn check_tree_inner(
     let mut stats = RegionCheckStats::default();
     let mut elapsed = Duration::ZERO;
     let sem_span = trace.map(|t| (t, t.begin("semantic")));
-    let mut sem_checker = if certify {
+    let mut sem_checker = if options.certify {
         SemanticChecker::with_certification()
     } else {
         SemanticChecker::new()
     };
-    if let Some(sink) = &progress {
+    if let Some(sink) = &options.progress {
         sem_checker.set_progress(Arc::clone(sink));
     }
     if let Some((t, id)) = &sem_span {
         sem_checker.set_trace(t.at(*id));
     }
-    let outcome = sem_checker.check_tree_with_stats(tree);
+    let outcome = sem_checker.check_tree(tree);
     session.merge(&sem_checker.session_stats());
     if let Some((t, id)) = sem_span {
         let stats = sem_checker.session_stats();
@@ -228,43 +222,39 @@ fn check_tree_inner(
     if let Some((t, id)) = root {
         t.finish(id);
     }
-    let mut cert = None;
-    let mut bundles = Vec::new();
-    if certify {
-        let mut c = syn_checker.cert_stats();
-        c.merge(&sem_checker.cert_stats());
-        cert = Some(c);
+    let cert = options.certify.then(|| {
+        let mut stats = syn_checker.cert_stats();
+        stats.merge(&sem_checker.cert_stats());
+        let mut proofs = Vec::new();
         if let Some((cnf, proof)) = syn_checker.export_proof() {
-            bundles.push(ProofBundle {
+            proofs.push(ProofBundle {
                 stage: "syntactic",
                 cnf,
                 proof,
             });
         }
         if let Some((cnf, proof)) = sem_checker.export_proof() {
-            bundles.push(ProofBundle {
+            proofs.push(ProofBundle {
                 stage: "semantic",
                 cnf,
                 proof,
             });
         }
-    }
-    (
-        CheckOutcome {
-            report: CheckReport {
-                stdout,
-                stderr,
-                clean: !failed,
-                input_error,
-            },
-            stats,
-            solver,
-            session,
-            elapsed,
-            cert,
+        Certification { stats, proofs }
+    });
+    CheckOutcome {
+        report: CheckReport {
+            stdout,
+            stderr,
+            clean: !failed,
+            input_error,
         },
-        bundles,
-    )
+        stats,
+        solver,
+        session,
+        elapsed,
+        cert,
+    }
 }
 
 #[cfg(test)]
@@ -301,7 +291,13 @@ mod tests {
         .unwrap();
         let tracer = Arc::new(Tracer::zeroed());
         let ctx = TraceCtx::new(Arc::clone(&tracer));
-        let traced = check_tree_traced(&tree, Some(&ctx));
+        let traced = check_tree_with(
+            &tree,
+            &CheckOptions {
+                trace: Some(ctx),
+                ..CheckOptions::default()
+            },
+        );
         let plain = check_tree(&tree);
         assert_eq!(traced.report, plain.report);
         assert_eq!(traced.solver, plain.solver);
@@ -336,11 +332,18 @@ mod tests {
         )
         .unwrap();
         let plain = check_tree(&tree);
-        let (certified, bundles) = check_tree_certified(&tree, None);
+        let certified = check_tree_with(
+            &tree,
+            &CheckOptions {
+                certify: true,
+                ..CheckOptions::default()
+            },
+        );
         assert_eq!(certified.report, plain.report, "bytes must not change");
         let cert = certified.cert.expect("certified run populates counters");
-        assert!(cert.proofs > 0, "UNSAT verdicts must be certified");
-        assert!(cert.checked > 0);
+        assert!(cert.stats.proofs > 0, "UNSAT verdicts must be certified");
+        assert!(cert.stats.checked > 0);
+        let bundles = cert.proofs;
         assert_eq!(bundles.len(), 2, "one bundle per stage");
         for b in &bundles {
             check_drat(&b.cnf, &b.proof, CheckMode::Last)
@@ -359,6 +362,45 @@ mod tests {
                 .any(|b| check_drat(&b.cnf, &b.proof, CheckMode::Last).is_ok()),
             "at least one stage carries a real refutation"
         );
+    }
+
+    #[test]
+    fn certified_check_keeps_an_attached_progress_sink_observation_only() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        struct Counting(AtomicU64);
+        impl ProgressSink for Counting {
+            fn heartbeat(&self, _beat: &llhsc::Heartbeat) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        let tree = llhsc_dts::parse(
+            "/ {\n\
+             \x20   #address-cells = <2>; #size-cells = <2>;\n\
+             \x20   memory@40000000 { device_type = \"memory\";\n\
+             \x20       reg = <0x0 0x40000000 0x0 0x20000000>; };\n\
+             \x20   uart@40000000 { reg = <0x0 0x40000000 0x0 0x1000>; };\n\
+             };",
+        )
+        .unwrap();
+        let certify = CheckOptions {
+            certify: true,
+            ..CheckOptions::default()
+        };
+        let plain = check_tree_with(&tree, &certify);
+        let observed = check_tree_with(
+            &tree,
+            &CheckOptions {
+                progress: Some(Arc::new(Counting(AtomicU64::new(0)))),
+                ..certify
+            },
+        );
+        assert_eq!(observed.report, plain.report);
+        assert_eq!(observed.solver, plain.solver);
+        let (a, b) = (plain.cert.unwrap(), observed.cert.unwrap());
+        assert!(b.stats.proofs > 0, "the certified run must still certify");
+        assert_eq!(b.stats, a.stats);
     }
 
     #[test]

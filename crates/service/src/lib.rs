@@ -12,7 +12,7 @@
 //! The `llhsc` binary lives here too: the classic one-shot subcommands
 //! plus `llhsc serve` and `llhsc client …`. `llhsc client check` is
 //! byte-identical to a local `llhsc check` — both render through
-//! [`check::check_tree`].
+//! [`check::check_tree_with`].
 
 pub mod analytics;
 pub mod cache;
@@ -29,13 +29,11 @@ pub use analytics::{
 };
 pub use cache::{CachedTreeCheck, ServiceCache, ServiceStats};
 pub use check::{
-    check_tree, check_tree_certified, check_tree_observed, check_tree_traced, CheckOutcome,
-    CheckReport, ProofBundle,
+    check_tree, check_tree_with, Certification, CheckOptions, CheckOutcome, CheckReport,
+    ProofBundle,
 };
 pub use json::{Json, JsonError};
 pub use progress::{ProgressSnapshot, RequestProgress, StderrProgress};
 pub use proto::{BuildRequest, Request};
-pub use report::{
-    check_report_json, check_report_json_with_proof, proof_json, solver_json, REPORT_SCHEMA_VERSION,
-};
+pub use report::{check_report_json, proof_json, solver_json, REPORT_SCHEMA_VERSION};
 pub use server::{start, ServerConfig, ServerHandle};

@@ -16,66 +16,30 @@
 //! entries of the document's own `spans` array, which carries the span
 //! tree (names, parent links, counters) without timestamps.
 
-use llhsc::{CertStats, RegionCheckStats, SessionStats, SolverStats};
+use llhsc::{CertStats, SessionStats, SolverStats};
 use llhsc_obs::SpanRecord;
 
-use crate::check::CheckReport;
+use crate::check::CheckOutcome;
 use crate::json::Json;
 
 /// Version stamp of the report layout. Bump on breaking changes.
 pub const REPORT_SCHEMA_VERSION: u64 = 1;
 
-/// Builds the `check` report document.
-pub fn check_report_json(
-    report: &CheckReport,
-    stats: &RegionCheckStats,
-    solver: &SolverStats,
-    session: &SessionStats,
-    spans: &[SpanRecord],
-) -> Json {
-    check_report_json_with_proof(report, stats, solver, session, spans, None)
-}
-
-/// [`check_report_json`], optionally carrying the certification
-/// counters of a proof-emitting run (`llhsc check --certify`/`--proof`).
-/// The `proof` object is only present when `cert` is: an uncertified
-/// report renders byte-identically to what it always did.
-pub fn check_report_json_with_proof(
-    report: &CheckReport,
-    stats: &RegionCheckStats,
-    solver: &SolverStats,
-    session: &SessionStats,
-    spans: &[SpanRecord],
-    cert: Option<&CertStats>,
-) -> Json {
-    let mut doc = check_report_fields(report, stats, solver, session, spans);
-    if let (Json::Obj(map), Some(c)) = (&mut doc, cert) {
-        map.insert("proof".to_string(), proof_json(c));
-    }
-    doc
-}
-
-/// The DRAT certification counters: how many `Unsat` verdicts carried a
-/// proof, the total proof length, and how many lemmas the backward
-/// checker actually had to verify. `verified` is definitionally `true` —
-/// a failed certification panics the check instead of reporting.
-pub fn proof_json(c: &CertStats) -> Json {
-    Json::obj([
-        ("proofs", c.proofs.into()),
-        ("steps", c.steps.into()),
-        ("checked", c.checked.into()),
-        ("verified", Json::Bool(true)),
-    ])
-}
-
-fn check_report_fields(
-    report: &CheckReport,
-    stats: &RegionCheckStats,
-    solver: &SolverStats,
-    session: &SessionStats,
-    spans: &[SpanRecord],
-) -> Json {
-    Json::obj([
+/// Builds the `check` report document of `outcome`, with `spans` as
+/// its span tree. The `proof` object carrying the certification
+/// counters is present only for a certified outcome (`llhsc check
+/// --certify`/`--proof`): an uncertified report renders
+/// byte-identically to what it always did.
+pub fn check_report_json(outcome: &CheckOutcome, spans: &[SpanRecord]) -> Json {
+    let CheckOutcome {
+        report,
+        stats,
+        solver,
+        session,
+        cert,
+        ..
+    } = outcome;
+    let mut doc = Json::obj([
         ("schema_version", REPORT_SCHEMA_VERSION.into()),
         ("kind", "check".into()),
         ("clean", Json::Bool(report.clean)),
@@ -96,6 +60,23 @@ fn check_report_fields(
         ("solver", solver_json(solver)),
         ("session", session_json(session)),
         ("spans", spans_json(spans)),
+    ]);
+    if let (Json::Obj(map), Some(c)) = (&mut doc, cert) {
+        map.insert("proof".to_string(), proof_json(&c.stats));
+    }
+    doc
+}
+
+/// The DRAT certification counters: how many `Unsat` verdicts carried a
+/// proof, the total proof length, and how many lemmas the backward
+/// checker actually had to verify. `verified` is definitionally `true` —
+/// a failed certification panics the check instead of reporting.
+pub fn proof_json(c: &CertStats) -> Json {
+    Json::obj([
+        ("proofs", c.proofs.into()),
+        ("steps", c.steps.into()),
+        ("checked", c.checked.into()),
+        ("verified", Json::Bool(true)),
     ])
 }
 
@@ -160,21 +141,31 @@ pub fn solver_json(s: &SolverStats) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{Certification, CheckReport};
+
+    fn outcome(solver: SolverStats) -> CheckOutcome {
+        CheckOutcome {
+            report: CheckReport {
+                stdout: "checked 3 nodes: ok\n".into(),
+                stderr: String::new(),
+                clean: true,
+                input_error: false,
+            },
+            stats: llhsc::RegionCheckStats::default(),
+            solver,
+            session: SessionStats::default(),
+            elapsed: std::time::Duration::ZERO,
+            cert: None,
+        }
+    }
 
     #[test]
     fn report_is_deterministic_and_versioned() {
-        let report = CheckReport {
-            stdout: "checked 3 nodes: ok\n".into(),
-            stderr: String::new(),
-            clean: true,
-            input_error: false,
-        };
-        let stats = RegionCheckStats::default();
-        let solver = SolverStats {
+        let outcome = outcome(SolverStats {
             solves: 2,
             decisions: 5,
             ..SolverStats::default()
-        };
+        });
         // Spans from a wall-clock and a zeroed tracer render the same
         // bytes: the document is time-free.
         let spans = |zeroed: bool| {
@@ -190,9 +181,8 @@ mod tests {
             t.end(root);
             t.spans()
         };
-        let session = SessionStats::default();
-        let a = check_report_json(&report, &stats, &solver, &session, &spans(false)).to_string();
-        let b = check_report_json(&report, &stats, &solver, &session, &spans(true)).to_string();
+        let a = check_report_json(&outcome, &spans(false)).to_string();
+        let b = check_report_json(&outcome, &spans(true)).to_string();
         assert_eq!(a, b);
         assert!(a.contains(r#""spans":[{"counters":{},"name":"check","parent":null}"#));
         let parsed = Json::parse(&a).expect("report parses");
@@ -214,24 +204,18 @@ mod tests {
 
     #[test]
     fn proof_object_appears_only_when_certified() {
-        let report = CheckReport {
-            stdout: "checked 3 nodes: ok\n".into(),
-            stderr: String::new(),
-            clean: true,
-            input_error: false,
-        };
-        let stats = RegionCheckStats::default();
-        let solver = SolverStats::default();
-        let session = SessionStats::default();
-        let plain = check_report_json(&report, &stats, &solver, &session, &[]);
+        let mut outcome = outcome(SolverStats::default());
+        let plain = check_report_json(&outcome, &[]);
         assert!(plain.get("proof").is_none(), "uncertified report is as-was");
-        let cert = CertStats {
-            proofs: 3,
-            steps: 120,
-            checked: 7,
-        };
-        let certified =
-            check_report_json_with_proof(&report, &stats, &solver, &session, &[], Some(&cert));
+        outcome.cert = Some(Certification {
+            stats: CertStats {
+                proofs: 3,
+                steps: 120,
+                checked: 7,
+            },
+            proofs: Vec::new(),
+        });
+        let certified = check_report_json(&outcome, &[]);
         let p = certified.get("proof").expect("certified report has proof");
         assert_eq!(p.get("proofs").and_then(Json::as_int), Some(3));
         assert_eq!(p.get("steps").and_then(Json::as_int), Some(120));

@@ -32,7 +32,7 @@ use crate::analytics::{
     analytics_key, count_model, count_params_key, sample_model, sample_params_key, AnalyticsOutcome,
 };
 use crate::cache::{CachedTreeCheck, ServiceCache, ServiceStats};
-use crate::check::check_tree_observed;
+use crate::check::{check_tree_with, CheckOptions};
 use crate::json::Json;
 use crate::progress::RequestProgress;
 use crate::proto::{
@@ -622,16 +622,16 @@ fn respond(
                             // later `report: true` hit replays it.
                             let tracer = Arc::new(Tracer::zeroed());
                             let ctx = TraceCtx::new(Arc::clone(&tracer));
-                            let sink: Arc<dyn ProgressSink> =
-                                Arc::clone(&progress) as Arc<dyn ProgressSink>;
-                            let outcome = check_tree_observed(&tree, Some(&ctx), sink);
+                            let options = CheckOptions {
+                                trace: Some(ctx),
+                                progress: Some(Arc::clone(&progress) as Arc<dyn ProgressSink>),
+                                certify: false,
+                            };
+                            let outcome = check_tree_with(&tree, &options);
                             state.solver.add(&outcome.solver);
                             state.session.add(&outcome.session);
                             let fresh = CachedTreeCheck {
-                                report: outcome.report,
-                                stats: outcome.stats,
-                                solver: outcome.solver,
-                                session: outcome.session,
+                                outcome,
                                 spans: tracer.spans(),
                             };
                             state.cache.put_tree(key, fresh.clone());
@@ -639,16 +639,8 @@ fn respond(
                         }
                     };
                     progress.set_phase("render");
-                    let doc = report.then(|| {
-                        check_report_json(
-                            &check.report,
-                            &check.stats,
-                            &check.solver,
-                            &check.session,
-                            &check.spans,
-                        )
-                    });
-                    let frame = check_frame(&check.report, cached, doc);
+                    let doc = report.then(|| check_report_json(&check.outcome, &check.spans));
+                    let frame = check_frame(&check.outcome.report, cached, doc);
                     (frame, Some(check.spans))
                 }
             };
@@ -1007,7 +999,6 @@ fn metrics_text(state: &ServiceState) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::check_tree_traced;
     use crate::client;
 
     #[test]
@@ -1043,14 +1034,12 @@ mod tests {
         // builder's.
         let tracer = Arc::new(Tracer::zeroed());
         let ctx = TraceCtx::new(Arc::clone(&tracer));
-        let local = check_tree_traced(&llhsc_dts::parse(dts).unwrap(), Some(&ctx));
-        let local_doc = check_report_json(
-            &local.report,
-            &local.stats,
-            &local.solver,
-            &local.session,
-            &tracer.spans(),
-        );
+        let options = CheckOptions {
+            trace: Some(ctx),
+            ..CheckOptions::default()
+        };
+        let local = check_tree_with(&llhsc_dts::parse(dts).unwrap(), &options);
+        let local_doc = check_report_json(&local, &tracer.spans());
         assert_eq!(report.to_string(), local_doc.to_string());
 
         // A cache hit replays the identical report under a new trace ID.

@@ -74,9 +74,6 @@ pub struct Context {
     blaster: Blaster,
     /// Activation literal per open scope.
     scopes: Vec<Lit>,
-    /// Terms asserted per scope depth (index 0 = ground level), kept for
-    /// diagnostics.
-    asserted: Vec<Vec<TermId>>,
     /// Model snapshot from the last Sat check.
     last_model: Option<Vec<bool>>,
     /// Maps assumption literals of the last `check_assuming` back to terms.
@@ -124,7 +121,6 @@ impl Context {
             solver: Solver::with_config(config),
             blaster: Blaster::new(),
             scopes: Vec::new(),
-            asserted: vec![Vec::new()],
             last_model: None,
             assumption_lits: HashMap::new(),
             last_core: Vec::new(),
@@ -821,11 +817,6 @@ impl Context {
         self.bv_ult(b, a)
     }
 
-    /// Unsigned greater-or-equal (sugar for swapped [`Context::bv_ule`]).
-    pub fn bv_uge(&mut self, a: TermId, b: TermId) -> TermId {
-        self.bv_ule(b, a)
-    }
-
     fn to_signed(x: u128, w: u32) -> i128 {
         let sign = 1u128 << (w - 1);
         if x & sign != 0 {
@@ -952,10 +943,6 @@ impl Context {
                 self.solver.add_clause([!act, lit]);
             }
         }
-        self.asserted
-            .last_mut()
-            .expect("ground scope always present")
-            .push(t);
     }
 
     /// Asserts `guard → t` at the ground level as a single two-literal
@@ -996,7 +983,6 @@ impl Context {
     pub fn push(&mut self) {
         let act = Lit::pos(self.solver.new_var());
         self.scopes.push(act);
-        self.asserted.push(Vec::new());
     }
 
     /// Closes the innermost scope, retracting its assertions.
@@ -1008,18 +994,12 @@ impl Context {
         let act = self.scopes.pop().expect("pop without matching push");
         // Permanently disable the scope's clauses.
         self.solver.add_clause([!act]);
-        self.asserted.pop();
         self.last_model = None;
     }
 
     /// Current scope depth (0 = ground).
     pub fn scope_depth(&self) -> usize {
         self.scopes.len()
-    }
-
-    /// Terms asserted in the current scope, for diagnostics.
-    pub fn current_assertions(&self) -> &[TermId] {
-        self.asserted.last().expect("ground scope always present")
     }
 
     /// Checks satisfiability of all live assertions.

@@ -76,7 +76,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let mut checker = SemanticChecker::new();
-    let report = checker.check_tree_translated(&tree)?;
+    checker.translate_ranges = true;
+    let (report, _) = checker.check_tree(&tree)?;
     println!(
         "\nsemantic check (absolute addresses): {} regions, {} collisions",
         report.regions_checked,
@@ -94,8 +95,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          dma@0 { reg = <0x0 0x100>; };\n    };\n\n    soc {",
     );
     let buggy_tree = llhsc_dts::parse(&buggy)?;
-    let local = checker.check_tree(&buggy_tree)?;
-    let absolute = checker.check_tree_translated(&buggy_tree)?;
+    checker.translate_ranges = false;
+    let (local, _) = checker.check_tree(&buggy_tree)?;
+    checker.translate_ranges = true;
+    let (absolute, _) = checker.check_tree(&buggy_tree)?;
     println!(
         "\nafter adding a second bridge whose window overlaps the clint:\n  \
          bus-local check:  {} collisions (blind across buses)\n  \

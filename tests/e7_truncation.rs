@@ -69,7 +69,7 @@ fn dt_schema_accepts_the_truncated_reg() {
 fn semantic_checker_finds_collision_at_zero() {
     // "our checker can find an actual collision on the address 0x0".
     let tree = broken_tree();
-    let report = SemanticChecker::new().check_tree(&tree).unwrap();
+    let (report, _) = SemanticChecker::new().check_tree(&tree).unwrap();
     assert!(!report.is_ok());
     let zero_collision = report
         .collisions
@@ -86,7 +86,7 @@ fn with_d4_the_product_is_clean() {
     let p = running_example::product_line()
         .derive(&["memory", "veth0", "uart@20000000", "uart@30000000", "cpu@0"])
         .unwrap();
-    let report = SemanticChecker::new().check_tree(&p.tree).unwrap();
+    let (report, _) = SemanticChecker::new().check_tree(&p.tree).unwrap();
     assert!(report.is_ok(), "{:?}", report.collisions);
 }
 
