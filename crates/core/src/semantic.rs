@@ -278,11 +278,11 @@ impl SemanticChecker {
         } else {
             collect_regions(tree)?
         };
-        let mut refs = Vec::new();
+        let mut refs = Vec::with_capacity(devices.len());
         for d in &devices {
-            let virtual_device = tree
-                .find_path(&d.path)
-                .and_then(|n| n.prop_str("compatible"))
+            let virtual_device = d
+                .compatible
+                .as_deref()
                 .is_some_and(|c| self.virtual_compatibles.iter().any(|v| v == c));
             for (i, r) in d.regions.iter().enumerate() {
                 if r.size == 0 {
@@ -807,19 +807,59 @@ fn interrupt_conflicts(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
     interrupt_users(tree)
         .into_iter()
         .filter(|(_, paths)| paths.len() > 1)
-        .map(|((_, line), paths)| (line, paths))
         .collect()
 }
 
 /// Every `(interrupt domain, line) → using node paths` group in the
-/// tree, before the ≥2-users conflict filter. The family checker lifts
-/// over these groups: a pair of users sharing a line only conflicts in
+/// tree, before the ≥2-users conflict filter, as `(line, paths)` in
+/// ascending `(domain, line)` order. The family checker lifts over
+/// these groups: a pair of users sharing a line only conflicts in
 /// products containing both, so it needs the per-user paths, not the
 /// merged verdict.
-pub(crate) fn interrupt_users(
-    tree: &DeviceTree,
-) -> std::collections::BTreeMap<(String, u32), Vec<String>> {
-    use std::collections::BTreeMap;
+pub(crate) fn interrupt_users(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
+    use std::collections::{BTreeMap, HashMap};
+
+    /// One interrupt domain: its controller's `#interrupt-cells`
+    /// (default 1) and the users of each line.
+    struct Domain {
+        key: String,
+        cells: u32,
+        lines: BTreeMap<u32, Vec<String>>,
+    }
+
+    /// The walk refers to domains by position in `domains`, so no
+    /// per-user insert compares domain keys. Keys are compared only
+    /// when a node names its own `interrupt-parent`, and the root
+    /// domain's key is the empty string, whose comparisons are
+    /// disproportionately slow.
+    struct Domains {
+        domains: Vec<Domain>,
+        by_key: HashMap<String, usize>,
+    }
+
+    impl Domains {
+        /// The position of `key`'s domain, resolving the controller's
+        /// `#interrupt-cells` once per distinct domain.
+        fn intern(&mut self, tree: &DeviceTree, key: String) -> usize {
+            if let Some(&i) = self.by_key.get(&key) {
+                return i;
+            }
+            let controller = key
+                .strip_prefix('&')
+                .and_then(|label| tree.resolve_label(label))
+                .and_then(|p| tree.find_path(&p));
+            let cells = controller
+                .and_then(|n| n.prop_u32("#interrupt-cells"))
+                .unwrap_or(1);
+            self.by_key.insert(key.clone(), self.domains.len());
+            self.domains.push(Domain {
+                key,
+                cells,
+                lines: BTreeMap::new(),
+            });
+            self.domains.len() - 1
+        }
+    }
 
     // Domain key: the resolved interrupt parent (label / raw phandle),
     // or "" for the implicit root domain.
@@ -835,22 +875,12 @@ pub(crate) fn interrupt_users(
         }
     }
 
-    /// `#interrupt-cells` of a domain's controller, defaulting to 1.
-    fn domain_cells(tree: &DeviceTree, key: &str) -> u32 {
-        let node = match key.strip_prefix('&') {
-            Some(label) => tree.resolve_label(label).and_then(|p| tree.find_path(&p)),
-            None => None,
-        };
-        node.and_then(|n| n.prop_u32("#interrupt-cells"))
-            .unwrap_or(1)
-    }
-
     fn rec(
         tree: &DeviceTree,
         node: &llhsc_dts::Node,
-        path: String,
-        inherited_domain: &str,
-        users: &mut BTreeMap<(String, u32), Vec<String>>,
+        path: &str,
+        inherited_domain: usize,
+        domains: &mut Domains,
     ) {
         let here = if node.name.is_empty() {
             "/".to_string()
@@ -859,30 +889,31 @@ pub(crate) fn interrupt_users(
         } else {
             format!("{path}/{}", node.name)
         };
-        let domain = node
-            .prop("interrupt-parent")
-            .map(parent_key)
-            .unwrap_or_else(|| inherited_domain.to_string());
-        if let Some(prop) = node.prop("interrupts") {
-            if let Some(cells) = prop.flat_cells() {
-                let stride = domain_cells(tree, &domain).max(1) as usize;
-                for spec in cells.chunks(stride) {
-                    let line = spec[0];
-                    users
-                        .entry((domain.clone(), line))
-                        .or_default()
-                        .push(here.clone());
-                }
+        let domain = match node.prop("interrupt-parent") {
+            Some(prop) => domains.intern(tree, parent_key(prop)),
+            None => inherited_domain,
+        };
+        if let Some(cells) = node.prop("interrupts").and_then(|p| p.flat_cells()) {
+            let d = &mut domains.domains[domain];
+            let stride = d.cells.max(1) as usize;
+            for spec in cells.chunks(stride) {
+                d.lines.entry(spec[0]).or_default().push(here.clone());
             }
         }
         for c in &node.children {
-            rec(tree, c, here.clone(), &domain, users);
+            rec(tree, c, &here, domain, domains);
         }
     }
 
-    let mut users: BTreeMap<(String, u32), Vec<String>> = BTreeMap::new();
-    rec(tree, &tree.root, "/".to_string(), "", &mut users);
-    users
+    let mut domains = Domains {
+        domains: Vec::new(),
+        by_key: HashMap::new(),
+    };
+    let root = domains.intern(tree, String::new());
+    rec(tree, &tree.root, "/", root, &mut domains);
+    let mut sorted = domains.domains;
+    sorted.sort_by(|a, b| a.key.cmp(&b.key));
+    sorted.into_iter().flat_map(|d| d.lines).collect()
 }
 
 #[cfg(test)]
@@ -1312,6 +1343,61 @@ mod tests {
             r.interrupt_conflicts.len(),
             1,
             "inherited same domain clashes"
+        );
+    }
+
+    #[test]
+    fn root_inherited_labelled_domain_checks_clean_at_scale() {
+        // Every device inherits the root's `interrupt-parent = <&intc>`:
+        // the controller's `#interrupt-cells` is resolved once for the
+        // domain, not once per device (a whole-tree label walk each).
+        let devices = 4096;
+        let mut src = String::from(
+            "/ { #address-cells = <1>; #size-cells = <1>; interrupt-parent = <&intc>;\n\
+             intc: interrupt-controller@f000000 { #interrupt-cells = <1>;\n\
+             interrupt-controller; reg = <0xf000000 0x1000>; };\n",
+        );
+        for i in 0..devices {
+            let base = 0x1000_0000 + i * 0x1000;
+            src.push_str(&format!(
+                "dev{i}@{base:x} {{ reg = <{base:#x} 0x1000>; interrupts = <{}>; }};\n",
+                32 + i
+            ));
+        }
+        src.push_str("};\n");
+        let t = parse(&src).unwrap();
+        let users = interrupt_users(&t);
+        assert_eq!(users.len(), devices);
+        let (report, _) = SemanticChecker::new().check_tree(&t).unwrap();
+        assert!(report.is_ok(), "{:?}", report.interrupt_conflicts);
+        assert_eq!(report.regions_checked, devices + 1);
+    }
+
+    #[test]
+    fn interrupt_users_are_ordered_by_domain_then_line() {
+        let t = parse(
+            r#"/ {
+                gic: pic@1000 { #interrupt-cells = <2>; };
+                a { interrupt-parent = <5>; interrupts = <4>; };
+                b { interrupt-parent = <&gic>; interrupts = <6 0 2 0>; };
+                c { interrupts = <9>; };
+                d { interrupts = <3 9>; };
+                e { interrupt-parent = <&gic>; interrupts = <2 1>; };
+            };"#,
+        )
+        .unwrap();
+        let owned =
+            |line: u32, paths: &[&str]| (line, paths.iter().map(|p| p.to_string()).collect());
+        assert_eq!(
+            interrupt_users(&t),
+            vec![
+                // Root domain "", then "&gic", then "phandle:5".
+                owned(3, &["/d"]),
+                owned(9, &["/c", "/d"]),
+                owned(2, &["/b", "/e"]),
+                owned(6, &["/b"]),
+                owned(4, &["/a"]),
+            ]
         );
     }
 

@@ -73,6 +73,8 @@ pub struct DeviceRegions {
     pub path: NodePath,
     /// The `device_type` property, if any (e.g. `"memory"`).
     pub device_type: Option<String>,
+    /// The first `compatible` string, if any (e.g. `"ns16550a"`).
+    pub compatible: Option<String>,
     /// Decoded regions.
     pub regions: Vec<RegEntry>,
     /// The `#address-cells`/`#size-cells` pair used to decode.
@@ -206,6 +208,7 @@ pub fn collect_regions(tree: &DeviceTree) -> Result<Vec<DeviceRegions>, DtsError
             out.push(DeviceRegions {
                 path: here.clone(),
                 device_type: node.prop_str("device_type").map(str::to_string),
+                compatible: node.prop_str("compatible").map(str::to_string),
                 regions,
                 cells: parent_cells,
             });
@@ -376,6 +379,7 @@ pub fn collect_regions_translated(tree: &DeviceTree) -> Result<Vec<DeviceRegions
                     out.push(DeviceRegions {
                         path: here.clone(),
                         device_type: node.prop_str("device_type").map(str::to_string),
+                        compatible: node.prop_str("compatible").map(str::to_string),
                         regions: translated,
                         cells: parent_cells,
                     });
@@ -424,10 +428,8 @@ pub fn unit_address_mismatches(tree: &DeviceTree) -> Vec<NodePath> {
     };
     let mut bad = Vec::new();
     for d in devices {
-        let Some(node) = tree.find_path(&d.path) else {
-            continue;
-        };
-        let Some(unit) = node.unit_address() else {
+        // The path's leaf is the node's own name.
+        let Some((_, unit)) = d.path.leaf().and_then(|name| name.split_once('@')) else {
             continue;
         };
         let Ok(unit_val) = u128::from_str_radix(unit, 16) else {

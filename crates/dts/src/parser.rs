@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use crate::error::{DtsError, Position};
 use crate::lexer::{Lexer, Token, TokenKind};
-use crate::tree::{Cell, DeviceTree, Node, PropValue, Property};
+use crate::tree::{Cell, ChildIndex, DeviceTree, Node, PropValue, Property};
 
 /// Supplies the contents of `/include/`d files.
 ///
@@ -90,41 +90,41 @@ fn tokenize_with_includes(
     depth: usize,
 ) -> Result<Vec<Token>, DtsError> {
     let raw = Lexer::new(src).tokenize()?;
+    // Most sources include nothing: keep the lexer's vector instead of
+    // holding a second copy of the stream while it is rebuilt.
+    if !raw.iter().any(|t| t.kind == TokenKind::Include) {
+        return Ok(raw);
+    }
     let mut out = Vec::with_capacity(raw.len());
-    let mut i = 0;
-    while i < raw.len() {
-        if raw[i].kind == TokenKind::Include {
-            let at = raw[i].at;
-            let Some(next) = raw.get(i + 1) else {
-                return Err(DtsError::Unexpected {
-                    at,
-                    expected: "include file name".into(),
-                    found: "end of input".into(),
-                });
-            };
-            let TokenKind::Str(name) = &next.kind else {
-                return Err(DtsError::Unexpected {
-                    at: next.at,
-                    expected: "include file name".into(),
-                    found: next.kind.describe(),
-                });
-            };
-            if depth >= MAX_INCLUDE_DEPTH {
-                return Err(DtsError::IncludeDepth { file: name.clone() });
-            }
-            let contents = provider.read(name).ok_or(DtsError::MissingInclude {
-                at,
-                file: name.clone(),
-            })?;
-            let mut inner = tokenize_with_includes(&contents, provider, depth + 1)?;
-            // Drop the inner EOF.
-            inner.pop();
-            out.extend(inner);
-            i += 2;
-        } else {
-            out.push(raw[i].clone());
-            i += 1;
+    let mut tokens = raw.into_iter();
+    while let Some(t) = tokens.next() {
+        if t.kind != TokenKind::Include {
+            out.push(t);
+            continue;
         }
+        let Some(next) = tokens.next() else {
+            return Err(DtsError::Unexpected {
+                at: t.at,
+                expected: "include file name".into(),
+                found: "end of input".into(),
+            });
+        };
+        let TokenKind::Str(name) = next.kind else {
+            return Err(Parser::unexpected(&next, "include file name"));
+        };
+        if depth >= MAX_INCLUDE_DEPTH {
+            return Err(DtsError::IncludeDepth { file: name });
+        }
+        let Some(contents) = provider.read(&name) else {
+            return Err(DtsError::MissingInclude {
+                at: t.at,
+                file: name,
+            });
+        };
+        let mut inner = tokenize_with_includes(&contents, provider, depth + 1)?;
+        // Drop the inner EOF.
+        inner.pop();
+        out.extend(inner);
     }
     Ok(out)
 }
@@ -146,15 +146,26 @@ impl Parser {
     }
 
     fn peek(&self) -> &Token {
-        &self.tokens[self.pos.min(self.tokens.len() - 1)]
+        &self.tokens[self.pos]
     }
 
+    /// Consumes the current token. The parser never looks back, so the
+    /// token is moved out (leaving a payload-free placeholder) rather
+    /// than copied; the final EOF stays put and is returned again.
     fn bump(&mut self) -> Token {
-        let t = self.tokens[self.pos.min(self.tokens.len() - 1)].clone();
-        if self.pos < self.tokens.len() {
+        let last = self.tokens.len() - 1;
+        if self.pos < last {
+            let at = self.tokens[self.pos].at;
+            let placeholder = Token {
+                kind: TokenKind::Eof,
+                at,
+            };
+            let t = std::mem::replace(&mut self.tokens[self.pos], placeholder);
             self.pos += 1;
+            t
+        } else {
+            self.tokens[last].clone()
         }
-        t
     }
 
     fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, DtsError> {
@@ -226,8 +237,10 @@ impl Parser {
                     target.merge(patch);
                 }
                 _ => {
-                    let t = self.peek().clone();
-                    return Err(Parser::unexpected(&t, "'/' or '&label' at top level"));
+                    return Err(Parser::unexpected(
+                        self.peek(),
+                        "'/' or '&label' at top level",
+                    ))
                 }
             }
         }
@@ -245,8 +258,9 @@ impl Parser {
             return Err(DtsError::TooDeep { at: open.at });
         }
         let mut node = Node::new(name);
+        let mut index = ChildIndex::default();
         loop {
-            match self.peek().kind.clone() {
+            match &self.peek().kind {
                 TokenKind::RBrace => {
                     self.bump();
                     self.depth -= 1;
@@ -259,6 +273,7 @@ impl Parser {
                         return Err(Parser::unexpected(&t, "node name after /delete-node/"));
                     };
                     node.remove_child(&child);
+                    index = ChildIndex::new(&node.children);
                     self.expect(&TokenKind::Semi, "';' after /delete-node/")?;
                 }
                 TokenKind::DeleteProperty => {
@@ -276,9 +291,10 @@ impl Parser {
                 TokenKind::Label(_) => {
                     // One or more labels, then a child node.
                     let mut labels = Vec::new();
-                    while let TokenKind::Label(l) = self.peek().kind.clone() {
-                        self.bump();
-                        labels.push(l);
+                    while let TokenKind::Label(_) = self.peek().kind {
+                        if let TokenKind::Label(l) = self.bump().kind {
+                            labels.push(l);
+                        }
                     }
                     let t = self.bump();
                     let TokenKind::Ident(child_name) = t.kind else {
@@ -287,21 +303,17 @@ impl Parser {
                     let mut child = self.parse_node_body(&child_name)?;
                     self.expect(&TokenKind::Semi, "';' after node")?;
                     child.labels.splice(0..0, labels);
-                    match node.children.iter_mut().find(|c| c.name == child.name) {
-                        Some(existing) => existing.merge(child),
-                        None => node.children.push(child),
-                    }
+                    index.insert(&mut node.children, child);
                 }
-                TokenKind::Ident(ident) => {
-                    self.bump();
+                TokenKind::Ident(_) => {
+                    let TokenKind::Ident(ident) = self.bump().kind else {
+                        unreachable!("peeked an identifier")
+                    };
                     match self.peek().kind {
                         TokenKind::LBrace => {
                             let child = self.parse_node_body(&ident)?;
                             self.expect(&TokenKind::Semi, "';' after node")?;
-                            match node.children.iter_mut().find(|c| c.name == child.name) {
-                                Some(existing) => existing.merge(child),
-                                None => node.children.push(child),
-                            }
+                            index.insert(&mut node.children, child);
                         }
                         TokenKind::Eq => {
                             self.bump();
@@ -317,15 +329,14 @@ impl Parser {
                             node.set_prop(Property::flag(&ident));
                         }
                         _ => {
-                            let t = self.peek().clone();
-                            return Err(Parser::unexpected(&t, "'{', '=' or ';' after name"));
+                            return Err(Parser::unexpected(
+                                self.peek(),
+                                "'{', '=' or ';' after name",
+                            ));
                         }
                     }
                 }
-                _ => {
-                    let t = self.peek().clone();
-                    return Err(Parser::unexpected(&t, "property, node or '}'"));
-                }
+                _ => return Err(Parser::unexpected(self.peek(), "property, node or '}'")),
             }
         }
     }

@@ -1,6 +1,6 @@
 //! The DeviceTree data model: nodes, properties, values and paths.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use crate::error::DtsError;
@@ -306,11 +306,13 @@ impl Node {
         for p in other.properties {
             self.set_prop(p);
         }
+        // Delta `modifies` often patch properties only: skip the index.
+        if other.children.is_empty() {
+            return;
+        }
+        let mut index = ChildIndex::new(&self.children);
         for c in other.children {
-            match self.children.iter_mut().find(|mine| mine.name == c.name) {
-                Some(mine) => mine.merge(c),
-                None => self.children.push(c),
-            }
+            index.insert(&mut self.children, c);
         }
     }
 
@@ -336,6 +338,37 @@ impl Node {
     /// Total number of nodes in this subtree (including `self`).
     pub fn size(&self) -> usize {
         1 + self.children.iter().map(Node::size).sum::<usize>()
+    }
+}
+
+/// Name → position of the first child with that name, so inserting or
+/// merging a child costs one hash lookup instead of a scan of its
+/// siblings. It describes one `children` vector and must be rebuilt
+/// with [`ChildIndex::new`] after anything but [`ChildIndex::insert`]
+/// changes that vector.
+#[derive(Debug, Default)]
+pub(crate) struct ChildIndex(HashMap<String, usize>);
+
+impl ChildIndex {
+    /// Indexes `children`; a repeated name maps to its first position.
+    pub(crate) fn new(children: &[Node]) -> ChildIndex {
+        let mut map = HashMap::with_capacity(children.len());
+        for (i, c) in children.iter().enumerate() {
+            map.entry(c.name.clone()).or_insert(i);
+        }
+        ChildIndex(map)
+    }
+
+    /// Merges `child` into the first same-named node of `children`, or
+    /// appends it when there is none.
+    pub(crate) fn insert(&mut self, children: &mut Vec<Node>, child: Node) {
+        match self.0.get(&child.name) {
+            Some(&i) => children[i].merge(child),
+            None => {
+                self.0.insert(child.name.clone(), children.len());
+                children.push(child);
+            }
+        }
     }
 }
 

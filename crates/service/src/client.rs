@@ -12,13 +12,16 @@ use crate::json::Json;
 /// A human-readable message on connect, transport or framing failure
 /// (the caller renders it and exits 2).
 pub fn request_raw(addr: &str, line: &str) -> Result<Json, String> {
-    let stream = TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("cannot clone connection: {e}"))?;
-    writeln!(writer, "{line}").map_err(|e| format!("cannot send request: {e}"))?;
-    writer
-        .flush()
+    let mut stream =
+        TcpStream::connect(addr).map_err(|e| format!("cannot connect to {addr}: {e}"))?;
+    // The request goes out in one write; Nagle's algorithm would only
+    // delay it, and a persistent caller's next request with it.
+    let _ = stream.set_nodelay(true);
+    let mut frame = String::with_capacity(line.len() + 1);
+    frame.push_str(line);
+    frame.push('\n');
+    stream
+        .write_all(frame.as_bytes())
         .map_err(|e| format!("cannot send request: {e}"))?;
     let mut reader = BufReader::new(stream);
     let mut response = String::new();

@@ -420,7 +420,18 @@ fn text_or_too_long(line: Vec<u8>, max: usize) -> Line {
     }
 }
 
+/// Writes one response frame with a single `write_all`, so the whole
+/// line leaves in one segment instead of one per `Display` fragment.
+fn write_frame(writer: &mut TcpStream, frame: &Json) -> io::Result<()> {
+    let mut line = frame.to_string();
+    line.push('\n');
+    writer.write_all(line.as_bytes())
+}
+
 fn serve_connection(state: &ServiceState, stream: TcpStream, max_request_bytes: usize) {
+    // Frames go out whole (see `write_frame`); Nagle's algorithm would
+    // only hold each one back until the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     state.stats.in_flight.fetch_add(1, Ordering::Relaxed);
     let in_flight = state.metrics.gauge(
         "llhsc_connections_in_flight",
@@ -456,7 +467,7 @@ fn serve_connection(state: &ServiceState, stream: TcpStream, max_request_bytes: 
                     if let Json::Obj(map) = &mut frame {
                         map.insert("trace_id".to_string(), Json::Str(trace_id));
                     }
-                    let _ = writeln!(writer, "{frame}");
+                    let _ = write_frame(&mut writer, &frame);
                     break; // the rest of the stream is unframed garbage
                 }
                 Err(_) => break,
@@ -524,10 +535,7 @@ fn serve_connection(state: &ServiceState, stream: TcpStream, max_request_bytes: 
                     .logger
                     .debug(&format!("{trace_id} {op} ok in {elapsed_us}us"));
             }
-            if writeln!(writer, "{response}")
-                .and_then(|()| writer.flush())
-                .is_err()
-            {
+            if write_frame(&mut writer, &response).is_err() {
                 break;
             }
         }

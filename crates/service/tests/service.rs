@@ -455,3 +455,55 @@ fn frontend_parse_failures_are_error_frames() {
     handle.shutdown();
     handle.join();
 }
+
+#[test]
+fn one_connection_serves_many_requests_in_order() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let (handle, addr) = start();
+    let clean = quadcore::core_dts_text();
+    let colliding = "/ { #address-cells = <1>; #size-cells = <1>; \
+                     a@1000 { reg = <0x1000 0x100>; }; b@1080 { reg = <0x1080 0x100>; }; };";
+    let expected = [
+        client::request_ok(&addr, &check_json(&clean)).expect("reference clean check"),
+        client::request_ok(&addr, &check_json(colliding)).expect("reference colliding check"),
+    ];
+    let requests = [
+        check_json(&clean),
+        check_json(colliding),
+        Json::obj([("op", "ping".into())]),
+        check_json(colliding),
+        check_json(&clean),
+        Json::obj([("op", "ping".into())]),
+    ];
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    for request in &requests {
+        writeln!(stream, "{request}").expect("send request");
+    }
+    let mut reader = BufReader::new(stream);
+    for request in &requests {
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).expect("read response") > 0);
+        let response = Json::parse(line.trim_end()).expect("response is JSON");
+        assert_eq!(response.get("ok"), Some(&Json::Bool(true)), "{line}");
+        if request.get("op").and_then(Json::as_str) == Some("ping") {
+            assert_eq!(str_field(&response, "op"), "ping");
+            continue;
+        }
+        let reference = if request.get("dts") == Some(&Json::Str(clean.clone())) {
+            &expected[0]
+        } else {
+            &expected[1]
+        };
+        for key in ["clean", "stdout", "stderr"] {
+            assert_eq!(response.get(key), reference.get(key), "{key}");
+        }
+        assert_eq!(response.get("cached"), Some(&Json::Bool(true)));
+    }
+    assert_eq!(expected[0].get("clean"), Some(&Json::Bool(true)));
+    assert_eq!(expected[1].get("clean"), Some(&Json::Bool(false)));
+    drop(reader);
+    handle.shutdown();
+    handle.join();
+}
