@@ -19,7 +19,7 @@
 //! DeviceTree addresses are 64-bit (2 address cells) and `b + s` of a
 //! region ending at the top of the address space must not wrap.
 
-use llhsc_dts::cells::{collect_regions, collect_regions_translated, RegEntry};
+use llhsc_dts::cells::{collect_regions, visit_devices, RegEntry};
 use llhsc_dts::{DeviceTree, DtsError};
 use llhsc_obs::TraceCtx;
 use llhsc_sat::{Cnf, ProofStep};
@@ -273,29 +273,23 @@ impl SemanticChecker {
     /// Propagates [`DtsError`] when a `reg` (or, when translating,
     /// `ranges`) property cannot be decoded.
     pub fn collect_refs(&self, tree: &DeviceTree) -> Result<Vec<RegionRef>, DtsError> {
-        let devices = if self.translate_ranges {
-            collect_regions_translated(tree)?
-        } else {
-            collect_regions(tree)?
-        };
-        let mut refs = Vec::with_capacity(devices.len());
-        for d in &devices {
-            let virtual_device = d
-                .compatible
-                .as_deref()
+        let mut refs = Vec::new();
+        visit_devices(tree, self.translate_ranges, |path, node, _, regions| {
+            let virtual_device = node
+                .prop_str("compatible")
                 .is_some_and(|c| self.virtual_compatibles.iter().any(|v| v == c));
-            for (i, r) in d.regions.iter().enumerate() {
+            for (i, r) in regions.iter().enumerate() {
                 if r.size == 0 {
                     continue;
                 }
                 refs.push(RegionRef {
-                    path: d.path.to_string(),
+                    path: String::from(path),
                     index: i,
                     region: *r,
                     virtual_device,
                 });
             }
-        }
+        })?;
         Ok(refs)
     }
 
@@ -801,8 +795,8 @@ fn minimized_value(
 /// inherited from ancestors per the DeviceTree specification; devices
 /// wired to different interrupt controllers may legitimately share
 /// line numbers. The number of cells per interrupt specifier is the
-/// controller's `#interrupt-cells` (default 1), with the *first* cell
-/// treated as the line number.
+/// controller's `#interrupt-cells` (default 1); see [`line_key`] for
+/// which cells name the line.
 fn interrupt_conflicts(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
     interrupt_users(tree)
         .into_iter()
@@ -810,21 +804,34 @@ fn interrupt_conflicts(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
         .collect()
 }
 
+/// The key an interrupt specifier is grouped by; its second half is
+/// the line number reported. Under a 3-cell controller (the GIC
+/// binding: type, number, flags) it is the (type, number) pair, since
+/// SPI 9 and PPI 9 are different lines; otherwise the first cell.
+fn line_key(interrupt_cells: u32, spec: &[u32]) -> (u32, u32) {
+    match (interrupt_cells, spec) {
+        (3, [kind, number, ..]) => (*kind, *number),
+        _ => (0, spec[0]),
+    }
+}
+
 /// Every `(interrupt domain, line) → using node paths` group in the
 /// tree, before the ≥2-users conflict filter, as `(line, paths)` in
-/// ascending `(domain, line)` order. The family checker lifts over
-/// these groups: a pair of users sharing a line only conflicts in
-/// products containing both, so it needs the per-user paths, not the
-/// merged verdict.
+/// ascending `(domain, line key)` order. A node is listed once per
+/// line however many of its specifiers name it. The family checker
+/// lifts over these groups: a pair of users sharing a line only
+/// conflicts in products containing both, so it needs the per-user
+/// paths, not the merged verdict.
 pub(crate) fn interrupt_users(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
     use std::collections::{BTreeMap, HashMap};
+    use std::convert::Infallible;
 
     /// One interrupt domain: its controller's `#interrupt-cells`
     /// (default 1) and the users of each line.
     struct Domain {
         key: String,
         cells: u32,
-        lines: BTreeMap<u32, Vec<String>>,
+        lines: BTreeMap<(u32, u32), Vec<String>>,
     }
 
     /// The walk refers to domains by position in `domains`, so no
@@ -875,45 +882,45 @@ pub(crate) fn interrupt_users(tree: &DeviceTree) -> Vec<(u32, Vec<String>)> {
         }
     }
 
-    fn rec(
-        tree: &DeviceTree,
-        node: &llhsc_dts::Node,
-        path: &str,
-        inherited_domain: usize,
-        domains: &mut Domains,
-    ) {
-        let here = if node.name.is_empty() {
-            "/".to_string()
-        } else if path == "/" {
-            format!("/{}", node.name)
-        } else {
-            format!("{path}/{}", node.name)
-        };
-        let domain = match node.prop("interrupt-parent") {
-            Some(prop) => domains.intern(tree, parent_key(prop)),
-            None => inherited_domain,
-        };
-        if let Some(cells) = node.prop("interrupts").and_then(|p| p.flat_cells()) {
-            let d = &mut domains.domains[domain];
-            let stride = d.cells.max(1) as usize;
-            for spec in cells.chunks(stride) {
-                d.lines.entry(spec[0]).or_default().push(here.clone());
-            }
-        }
-        for c in &node.children {
-            rec(tree, c, &here, domain, domains);
-        }
-    }
-
     let mut domains = Domains {
         domains: Vec::new(),
         by_key: HashMap::new(),
     };
     let root = domains.intern(tree, String::new());
-    rec(tree, &tree.root, "/", root, &mut domains);
+    // The cells and distinct line keys of the node being visited.
+    let (mut cells, mut keys) = (Vec::new(), Vec::new());
+    let Ok(()) = tree.root.visit(root, |v, &inherited| {
+        let domain = match v.node.prop("interrupt-parent") {
+            Some(prop) => domains.intern(tree, parent_key(prop)),
+            None => inherited,
+        };
+        if let Some(specs) = v.node.prop("interrupts").and_then(|p| p.literal_cells()) {
+            let d = &mut domains.domains[domain];
+            cells.clear();
+            cells.extend(specs);
+            keys.clear();
+            for spec in cells.chunks(d.cells.max(1) as usize) {
+                let key = line_key(d.cells, spec);
+                if !keys.contains(&key) {
+                    keys.push(key);
+                }
+            }
+            if let Some((&last, rest)) = keys.split_last() {
+                let here = String::from(v.path);
+                for &key in rest {
+                    d.lines.entry(key).or_default().push(here.clone());
+                }
+                d.lines.entry(last).or_default().push(here);
+            }
+        }
+        Ok::<_, Infallible>(domain)
+    });
     let mut sorted = domains.domains;
     sorted.sort_by(|a, b| a.key.cmp(&b.key));
-    sorted.into_iter().flat_map(|d| d.lines).collect()
+    sorted
+        .into_iter()
+        .flat_map(|d| d.lines.into_iter().map(|((_, line), users)| (line, users)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1424,6 +1431,52 @@ mod tests {
             "{:?}",
             r.interrupt_conflicts
         );
+    }
+
+    /// The GIC board: every SPI is `<0 N flags>`, so grouping by the
+    /// first cell put all of them on "line 0" and listed `/b@4000`
+    /// twice.
+    const GIC_BOARD: &str = r#"/ {
+        #address-cells = <1>;
+        #size-cells = <1>;
+        gic: interrupt-controller@1000 { #interrupt-cells = <3>; reg = <0x1000 0x100>; };
+        b@4000 { reg = <0x4000 0x100>; interrupt-parent = <&gic>;
+                 interrupts = <0 9 4 0 7 4>; };
+        c@5000 { reg = <0x5000 0x100>; interrupt-parent = <&gic>;
+                 interrupts = <0 11 4>; };
+    };"#;
+
+    #[test]
+    fn gic_specifiers_group_by_type_and_number() {
+        let t = parse(GIC_BOARD).unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
+        assert!(r.is_ok(), "{:?}", r.interrupt_conflicts);
+        let owned = |paths: &[&str]| paths.iter().map(|p| p.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            interrupt_users(&t),
+            vec![
+                (7, owned(&["/b@4000"])),
+                (9, owned(&["/b@4000"])),
+                (11, owned(&["/c@5000"])),
+            ]
+        );
+
+        // SPI 7 twice with different flags is one line, reported by
+        // its number.
+        let clash = GIC_BOARD.replace("<0 11 4>", "<0 7 1>");
+        let t = parse(&clash).unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
+        assert_eq!(
+            r.interrupt_conflicts,
+            vec![(7, owned(&["/b@4000", "/c@5000"]))]
+        );
+    }
+
+    #[test]
+    fn a_node_is_listed_once_per_line() {
+        let t = parse("/ { a { interrupts = <5 5>; }; b { interrupts = <6>; }; };").unwrap();
+        let r = SemanticChecker::new().check_tree(&t).unwrap().0;
+        assert!(r.is_ok(), "{:?}", r.interrupt_conflicts);
     }
 
     #[test]

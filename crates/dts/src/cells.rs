@@ -12,8 +12,10 @@
 //! This module performs that interpretation faithfully so the semantic
 //! checker sees the same (mis)parse the hypervisor would.
 
+use std::fmt::Display;
+
 use crate::error::DtsError;
-use crate::tree::{DeviceTree, Node, NodePath};
+use crate::tree::{DeviceTree, Node, NodePath, PathRef};
 
 /// Default `#address-cells` when a parent does not specify it
 /// (DeviceTree specification §2.3.5).
@@ -101,8 +103,15 @@ pub fn cell_counts(parent: &Node) -> (u32, u32) {
 ///
 /// [`DtsError::BadValue`] naming `path` when either count exceeds
 /// [`MAX_CELLS`].
-pub fn checked_cell_counts(path: &NodePath, parent: &Node) -> Result<(u32, u32), DtsError> {
-    let (ac, sc) = cell_counts(parent);
+pub fn checked_cell_counts(path: &impl Display, parent: &Node) -> Result<(u32, u32), DtsError> {
+    let counts = cell_counts(parent);
+    check_counts(path, counts)?;
+    Ok(counts)
+}
+
+/// Rejects an `(#address-cells, #size-cells)` pair outside
+/// `0..=MAX_CELLS`, naming `path`.
+fn check_counts(path: &impl Display, (ac, sc): (u32, u32)) -> Result<(), DtsError> {
     for (name, v) in [("#address-cells", ac), ("#size-cells", sc)] {
         if v > MAX_CELLS {
             return Err(DtsError::BadValue {
@@ -111,15 +120,15 @@ pub fn checked_cell_counts(path: &NodePath, parent: &Node) -> Result<(u32, u32),
             });
         }
     }
-    Ok((ac, sc))
+    Ok(())
 }
 
-fn take_cells(cells: &[u32], n: u32) -> u128 {
-    let mut v: u128 = 0;
-    for &c in &cells[..n as usize] {
-        v = (v << 32) | u128::from(c);
-    }
-    v
+/// The first `n` cells of `cells` as one big-endian number.
+fn take_cells(cells: impl IntoIterator<Item = u32>, n: u32) -> u128 {
+    cells
+        .into_iter()
+        .take(n as usize)
+        .fold(0, |v, c| (v << 32) | u128::from(c))
 }
 
 /// Decodes a node's `reg` property under the given cell counts.
@@ -132,29 +141,20 @@ fn take_cells(cells: &[u32], n: u32) -> u128 {
 /// performs (§IV-B) — or either cell count exceeds [`MAX_CELLS`]. A
 /// missing `reg` yields an empty vector.
 pub fn decode_reg(
-    path: &NodePath,
+    path: &impl Display,
     node: &Node,
     address_cells: u32,
     size_cells: u32,
 ) -> Result<Vec<RegEntry>, DtsError> {
-    for (name, v) in [
-        ("#address-cells", address_cells),
-        ("#size-cells", size_cells),
-    ] {
-        if v > MAX_CELLS {
-            return Err(DtsError::BadValue {
-                path: path.to_string(),
-                message: format!("{name} = {v} outside supported range 0..={MAX_CELLS}"),
-            });
-        }
-    }
+    check_counts(path, (address_cells, size_cells))?;
     let Some(prop) = node.prop("reg") else {
         return Ok(Vec::new());
     };
-    let flat = prop.flat_cells().ok_or_else(|| DtsError::BadValue {
+    let mut cells = prop.literal_cells().ok_or_else(|| DtsError::BadValue {
         path: path.to_string(),
         message: "reg must be a cell array of literals".into(),
     })?;
+    let n = cells.clone().count();
     let stride = address_cells as usize + size_cells as usize;
     if stride == 0 {
         return Err(DtsError::BadValue {
@@ -162,25 +162,20 @@ pub fn decode_reg(
             message: "#address-cells + #size-cells must be positive".into(),
         });
     }
-    if flat.len() % stride != 0 {
+    if n % stride != 0 {
         return Err(DtsError::BadValue {
             path: path.to_string(),
             message: format!(
-                "reg has {} cells, not a multiple of #address-cells ({address_cells}) + #size-cells ({size_cells})",
-                flat.len()
+                "reg has {n} cells, not a multiple of #address-cells ({address_cells}) + #size-cells ({size_cells})"
             ),
         });
     }
-    let mut out = Vec::with_capacity(flat.len() / stride);
-    for chunk in flat.chunks(stride) {
-        let address = take_cells(chunk, address_cells);
-        let size = if size_cells == 0 {
-            0
-        } else {
-            take_cells(&chunk[address_cells as usize..], size_cells)
-        };
-        out.push(RegEntry { address, size });
-    }
+    let out = (0..n / stride)
+        .map(|_| RegEntry {
+            address: take_cells(&mut cells, address_cells),
+            size: take_cells(&mut cells, size_cells),
+        })
+        .collect();
     Ok(out)
 }
 
@@ -191,41 +186,91 @@ pub fn decode_reg(
 ///
 /// Propagates the first decoding error (see [`decode_reg`]).
 pub fn collect_regions(tree: &DeviceTree) -> Result<Vec<DeviceRegions>, DtsError> {
+    collect(tree, false)
+}
+
+fn collect(tree: &DeviceTree, through_ranges: bool) -> Result<Vec<DeviceRegions>, DtsError> {
     let mut out = Vec::new();
-    fn rec(
-        node: &Node,
-        path: &NodePath,
-        parent_cells: (u32, u32),
-        out: &mut Vec<DeviceRegions>,
-    ) -> Result<(), DtsError> {
-        let here = if node.name.is_empty() {
-            NodePath::root()
-        } else {
-            path.join(&node.name)
-        };
-        if node.prop("reg").is_some() {
-            let regions = decode_reg(&here, node, parent_cells.0, parent_cells.1)?;
-            out.push(DeviceRegions {
-                path: here.clone(),
-                device_type: node.prop_str("device_type").map(str::to_string),
-                compatible: node.prop_str("compatible").map(str::to_string),
-                regions,
-                cells: parent_cells,
-            });
-        }
-        let my_cells = checked_cell_counts(&here, node)?;
-        for c in &node.children {
-            rec(c, &here, my_cells, out)?;
-        }
-        Ok(())
-    }
-    rec(
-        &tree.root,
-        &NodePath::root(),
-        (DEFAULT_ADDRESS_CELLS, DEFAULT_SIZE_CELLS),
-        &mut out,
-    )?;
+    visit_devices(tree, through_ranges, |path, node, cells, regions| {
+        out.push(DeviceRegions {
+            path: path.to_node_path(),
+            device_type: node.prop_str("device_type").map(str::to_string),
+            compatible: node.prop_str("compatible").map(str::to_string),
+            regions,
+            cells,
+        });
+    })?;
     Ok(out)
+}
+
+/// The single walk behind [`collect_regions`] (`through_ranges`
+/// false) and [`collect_regions_translated`] (`through_ranges` true):
+/// calls `f` with each device's path, node, parent cell counts and
+/// regions, depth first, materialising no path the caller does not
+/// keep.
+///
+/// # Errors
+///
+/// The first error either collection function would return.
+pub fn visit_devices<'t>(
+    tree: &'t DeviceTree,
+    through_ranges: bool,
+    mut f: impl FnMut(PathRef<'_>, &'t Node, (u32, u32), Vec<RegEntry>),
+) -> Result<(), DtsError> {
+    /// How a bus's addresses reach the root.
+    enum Xlat {
+        /// Compose these range tables innermost-first.
+        Tables(Vec<Vec<RangeEntry>>),
+        /// Some ancestor bus has no ranges: not root-addressable.
+        Opaque,
+    }
+
+    tree.root.visit(Xlat::Tables(Vec::new()), |v, xlat| {
+        let node = v.node;
+        let (ac, sc) = v.parent_cells;
+        if node.prop("reg").is_some() {
+            if !through_ranges {
+                let regions = decode_reg(&v.path, node, ac, sc)?;
+                f(v.path, node, v.parent_cells, regions);
+            } else if let Xlat::Tables(tables) = xlat {
+                let regions = decode_reg(&v.path, node, ac, sc)?;
+                // A region outside every window of some bus drops the
+                // whole device.
+                let translated: Option<Vec<RegEntry>> = regions
+                    .iter()
+                    .map(|r| {
+                        let address = tables
+                            .iter()
+                            .try_fold(r.address, |a, table| translate(a, table))?;
+                        Some(RegEntry {
+                            address,
+                            size: r.size,
+                        })
+                    })
+                    .collect();
+                if let Some(regions) = translated {
+                    f(v.path, node, v.parent_cells, regions);
+                }
+            }
+        }
+        // The child translation state; the root bus needs no
+        // translation.
+        let child = if !through_ranges || node.name.is_empty() {
+            Xlat::Tables(Vec::new())
+        } else {
+            match (xlat, decode_ranges(&v.path, node, ac)?) {
+                (Xlat::Tables(tables), Some(table)) => {
+                    let mut t = Vec::with_capacity(tables.len() + 1);
+                    t.push(table);
+                    t.extend(tables.iter().cloned());
+                    Xlat::Tables(t)
+                }
+                _ => Xlat::Opaque,
+            }
+        };
+        check_counts(&v.path, cell_counts(node))?;
+        Ok(child)
+    })
 }
 
 /// One `ranges` translation entry: addresses `child_base..child_base+size`
@@ -253,7 +298,7 @@ pub struct RangeEntry {
 ///
 /// Returns [`DtsError::BadValue`] on non-cell values or arity mismatch.
 pub fn decode_ranges(
-    path: &NodePath,
+    path: &impl Display,
     node: &Node,
     parent_address_cells: u32,
 ) -> Result<Option<Vec<RangeEntry>>, DtsError> {
@@ -290,20 +335,11 @@ pub fn decode_ranges(
     }
     let mut out = Vec::with_capacity(flat.len() / stride);
     for chunk in flat.chunks(stride) {
-        let child_base = take_cells(chunk, child_ac);
-        let parent_base = take_cells(&chunk[child_ac as usize..], parent_address_cells);
-        let size = if child_sc == 0 {
-            0
-        } else {
-            take_cells(
-                &chunk[(child_ac + parent_address_cells) as usize..],
-                child_sc,
-            )
-        };
+        let mut cells = chunk.iter().copied();
         out.push(RangeEntry {
-            child_base,
-            parent_base,
-            size,
+            child_base: take_cells(&mut cells, child_ac),
+            parent_base: take_cells(&mut cells, parent_address_cells),
+            size: take_cells(&mut cells, child_sc),
         });
     }
     Ok(Some(out))
@@ -337,86 +373,7 @@ pub fn translate(address: u128, ranges: &[RangeEntry]) -> Option<u128> {
 ///
 /// Propagates decoding errors from `reg` and `ranges` properties.
 pub fn collect_regions_translated(tree: &DeviceTree) -> Result<Vec<DeviceRegions>, DtsError> {
-    #[derive(Clone)]
-    enum Xlat {
-        /// Compose these range tables innermost-first.
-        Tables(Vec<Vec<RangeEntry>>),
-        /// Some ancestor bus has no ranges: not root-addressable.
-        Opaque,
-    }
-
-    fn rec(
-        node: &Node,
-        path: &NodePath,
-        parent_cells: (u32, u32),
-        xlat: &Xlat,
-        out: &mut Vec<DeviceRegions>,
-    ) -> Result<(), DtsError> {
-        let here = if node.name.is_empty() {
-            NodePath::root()
-        } else {
-            path.join(&node.name)
-        };
-        if node.prop("reg").is_some() {
-            if let Xlat::Tables(tables) = xlat {
-                let regions = decode_reg(&here, node, parent_cells.0, parent_cells.1)?;
-                let mut translated = Vec::new();
-                let mut all_ok = true;
-                for r in &regions {
-                    let mut addr = Some(r.address);
-                    for table in tables {
-                        addr = addr.and_then(|a| translate(a, table));
-                    }
-                    match addr {
-                        Some(a) => translated.push(RegEntry {
-                            address: a,
-                            size: r.size,
-                        }),
-                        None => all_ok = false,
-                    }
-                }
-                if all_ok {
-                    out.push(DeviceRegions {
-                        path: here.clone(),
-                        device_type: node.prop_str("device_type").map(str::to_string),
-                        compatible: node.prop_str("compatible").map(str::to_string),
-                        regions: translated,
-                        cells: parent_cells,
-                    });
-                }
-            }
-        }
-        // Compute the child translation state.
-        let child_xlat = if node.name.is_empty() {
-            // The root bus needs no translation.
-            Xlat::Tables(Vec::new())
-        } else {
-            match (xlat, decode_ranges(&here, node, parent_cells.0)?) {
-                (Xlat::Opaque, _) => Xlat::Opaque,
-                (Xlat::Tables(tables), Some(table)) => {
-                    let mut t = vec![table];
-                    t.extend(tables.iter().cloned());
-                    Xlat::Tables(t)
-                }
-                (Xlat::Tables(_), None) => Xlat::Opaque,
-            }
-        };
-        let my_cells = checked_cell_counts(&here, node)?;
-        for c in &node.children {
-            rec(c, &here, my_cells, &child_xlat, out)?;
-        }
-        Ok(())
-    }
-
-    let mut out = Vec::new();
-    rec(
-        &tree.root,
-        &NodePath::root(),
-        (DEFAULT_ADDRESS_CELLS, DEFAULT_SIZE_CELLS),
-        &Xlat::Tables(Vec::new()),
-        &mut out,
-    )?;
-    Ok(out)
+    collect(tree, true)
 }
 
 /// Checks that every node's `@unit-address` matches the first `reg`
@@ -739,8 +696,8 @@ mod tests {
 
     #[test]
     fn take_cells_concatenates_big_endian() {
-        assert_eq!(take_cells(&[0x1, 0x2], 2), 0x1_0000_0002);
-        assert_eq!(take_cells(&[0xdead_beef], 1), 0xdead_beef);
+        assert_eq!(take_cells([0x1, 0x2], 2), 0x1_0000_0002);
+        assert_eq!(take_cells([0xdead_beef], 1), 0xdead_beef);
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! reservation block, a structure block of `BEGIN_NODE`/`PROP`/
 //! `END_NODE` tokens, and a deduplicated strings block.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
-use crate::tree::{DeviceTree, Node, PropValue, Property};
+use crate::tree::{Cell, DeviceTree, Node, PropValue, Property};
 
 /// The FDT magic number.
 pub const FDT_MAGIC: u32 = 0xd00d_feed;
@@ -57,140 +57,164 @@ fn align4(v: &mut Vec<u8>) {
     }
 }
 
+fn put_u32(out: &mut Vec<u8>, word: u32) {
+    out.extend_from_slice(&word.to_be_bytes());
+}
+
+/// Size of the blob header: ten big-endian words.
+const HEADER_LEN: usize = 40;
+
 /// Encodes a tree as a DTB v17 blob.
 ///
 /// `&label` references inside cell lists are resolved to phandles (one
 /// is allocated per labelled node, and a `phandle` property is
 /// materialised on each referenced node).
+///
+/// The structure block is written straight into the blob: each
+/// property's value is serialised in place and its length patched in
+/// afterwards, and names are interned by reference into the tree, so
+/// encoding allocates only as the output and strings block grow.
 pub fn encode(tree: &DeviceTree) -> Vec<u8> {
-    let phandles = tree.phandle_map();
-
-    // Strings block with deduplication.
-    let mut strings: Vec<u8> = Vec::new();
-    let mut string_off: BTreeMap<String, u32> = BTreeMap::new();
-    let mut intern = |name: &str, strings: &mut Vec<u8>, map: &mut BTreeMap<String, u32>| -> u32 {
-        if let Some(&off) = map.get(name) {
-            return off;
-        }
-        let off = strings.len() as u32;
-        strings.extend_from_slice(name.as_bytes());
-        strings.push(0);
-        map.insert(name.to_string(), off);
-        off
+    let mut enc = Encoder {
+        blob: vec![0; HEADER_LEN],
+        strings: Vec::new(),
+        string_off: HashMap::new(),
+        phandles: tree.phandle_map(),
     };
-
-    // Structure block.
-    let mut structure: Vec<u8> = Vec::new();
-    fn emit_node(
-        node: &Node,
-        phandles: &BTreeMap<String, u32>,
-        structure: &mut Vec<u8>,
-        strings: &mut Vec<u8>,
-        string_off: &mut BTreeMap<String, u32>,
-        intern: &mut impl FnMut(&str, &mut Vec<u8>, &mut BTreeMap<String, u32>) -> u32,
-    ) {
-        structure.extend_from_slice(&FDT_BEGIN_NODE.to_be_bytes());
-        structure.extend_from_slice(node.name.as_bytes());
-        structure.push(0);
-        align4(structure);
-
-        let mut props: Vec<(String, Vec<u8>)> = Vec::new();
-        for p in &node.properties {
-            props.push((p.name.clone(), prop_bytes(p, phandles)));
-        }
-        // Materialise a phandle property for labelled nodes.
-        if let Some(ph) = node.labels.iter().find_map(|l| phandles.get(l)) {
-            if node.prop("phandle").is_none() {
-                props.push(("phandle".to_string(), ph.to_be_bytes().to_vec()));
-            }
-        }
-        for (name, bytes) in props {
-            structure.extend_from_slice(&FDT_PROP.to_be_bytes());
-            structure.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-            let off = intern(&name, strings, string_off);
-            structure.extend_from_slice(&off.to_be_bytes());
-            structure.extend_from_slice(&bytes);
-            align4(structure);
-        }
-        for c in &node.children {
-            emit_node(c, phandles, structure, strings, string_off, intern);
-        }
-        structure.extend_from_slice(&FDT_END_NODE.to_be_bytes());
-    }
-    emit_node(
-        &tree.root,
-        &phandles,
-        &mut structure,
-        &mut strings,
-        &mut string_off,
-        &mut intern,
-    );
-    structure.extend_from_slice(&FDT_END.to_be_bytes());
-
     // Memory reservation block (terminated by a zero entry).
-    let mut rsvmap: Vec<u8> = Vec::new();
-    for &(addr, size) in &tree.reservations {
-        rsvmap.extend_from_slice(&addr.to_be_bytes());
-        rsvmap.extend_from_slice(&size.to_be_bytes());
+    let off_rsvmap = enc.blob.len();
+    for &(addr, size) in tree.reservations.iter().chain([(0, 0)].iter()) {
+        enc.blob.extend_from_slice(&addr.to_be_bytes());
+        enc.blob.extend_from_slice(&size.to_be_bytes());
     }
-    rsvmap.extend_from_slice(&0u64.to_be_bytes());
-    rsvmap.extend_from_slice(&0u64.to_be_bytes());
+    let off_struct = enc.blob.len();
+    enc.node(&tree.root);
+    put_u32(&mut enc.blob, FDT_END);
+    let off_strings = enc.blob.len();
+    let Encoder {
+        mut blob, strings, ..
+    } = enc;
+    blob.extend_from_slice(&strings);
 
-    // Assemble: header (40 bytes) | rsvmap | structure | strings.
-    let header_len = 40u32;
-    let off_rsvmap = header_len;
-    let off_struct = off_rsvmap + rsvmap.len() as u32;
-    let off_strings = off_struct + structure.len() as u32;
-    let total = off_strings + strings.len() as u32;
-
-    let mut out = Vec::with_capacity(total as usize);
-    for word in [
+    let header = [
         FDT_MAGIC,
-        total,
-        off_struct,
-        off_strings,
-        off_rsvmap,
+        blob.len() as u32,
+        off_struct as u32,
+        off_strings as u32,
+        off_rsvmap as u32,
         FDT_VERSION,
         FDT_LAST_COMP_VERSION,
         0, // boot_cpuid_phys
         strings.len() as u32,
-        structure.len() as u32,
-    ] {
-        out.extend_from_slice(&word.to_be_bytes());
+        (off_strings - off_struct) as u32,
+    ];
+    for (slot, word) in blob.chunks_exact_mut(4).zip(header) {
+        slot.copy_from_slice(&word.to_be_bytes());
     }
-    out.extend_from_slice(&rsvmap);
-    out.extend_from_slice(&structure);
-    out.extend_from_slice(&strings);
-    out
+    blob
 }
 
-/// Serialises one property to its FDT byte form, resolving references
-/// through the phandle map.
-fn prop_bytes(p: &Property, phandles: &BTreeMap<String, u32>) -> Vec<u8> {
-    let mut out = Vec::new();
-    for v in &p.values {
-        match v {
-            PropValue::Cells(cells) => {
-                for c in cells {
-                    let raw = match c {
-                        crate::tree::Cell::U32(x) => *x,
-                        crate::tree::Cell::Ref(l) => phandles.get(l).copied().unwrap_or(0),
-                    };
-                    out.extend_from_slice(&raw.to_be_bytes());
-                }
-            }
-            PropValue::Str(s) => {
-                out.extend_from_slice(s.as_bytes());
-                out.push(0);
-            }
-            PropValue::Bytes(bs) => out.extend_from_slice(bs),
-            PropValue::Ref(l) => {
-                let raw = phandles.get(l).copied().unwrap_or(0);
-                out.extend_from_slice(&raw.to_be_bytes());
+/// The state of one [`encode`] call.
+struct Encoder<'t> {
+    /// Header placeholder, reservation block, then the structure block
+    /// as it is written.
+    blob: Vec<u8>,
+    /// The strings block: each property name once, in first-use order.
+    strings: Vec<u8>,
+    /// Offset of each name in `strings`.
+    string_off: HashMap<&'t str, u32>,
+    phandles: HashMap<&'t str, u32>,
+}
+
+impl<'t> Encoder<'t> {
+    fn intern(&mut self, name: &'t str) -> u32 {
+        if let Some(&off) = self.string_off.get(name) {
+            return off;
+        }
+        let off = self.strings.len() as u32;
+        self.strings.extend_from_slice(name.as_bytes());
+        self.strings.push(0);
+        self.string_off.insert(name, off);
+        off
+    }
+
+    fn phandle(&self, label: &str) -> u32 {
+        self.phandles.get(label).copied().unwrap_or(0)
+    }
+
+    fn node(&mut self, node: &'t Node) {
+        put_u32(&mut self.blob, FDT_BEGIN_NODE);
+        self.blob.extend_from_slice(node.name.as_bytes());
+        self.blob.push(0);
+        align4(&mut self.blob);
+        for p in &node.properties {
+            self.prop(p);
+        }
+        // Materialise a phandle property for labelled nodes.
+        if let Some(&ph) = node
+            .labels
+            .iter()
+            .find_map(|l| self.phandles.get(l.as_str()))
+        {
+            if node.prop("phandle").is_none() {
+                let start = self.begin_prop("phandle");
+                put_u32(&mut self.blob, ph);
+                self.end_prop(start);
             }
         }
+        for c in &node.children {
+            self.node(c);
+        }
+        put_u32(&mut self.blob, FDT_END_NODE);
     }
-    out
+
+    /// Starts a property: its token, a zero length for
+    /// [`Encoder::end_prop`] to fill in, and its name offset. Returns
+    /// where the value starts.
+    fn begin_prop(&mut self, name: &'t str) -> usize {
+        put_u32(&mut self.blob, FDT_PROP);
+        put_u32(&mut self.blob, 0);
+        let off = self.intern(name);
+        put_u32(&mut self.blob, off);
+        self.blob.len()
+    }
+
+    /// Ends the property whose value started at `value_start`: patches
+    /// its length word and pads to a word boundary.
+    fn end_prop(&mut self, value_start: usize) {
+        let len = (self.blob.len() - value_start) as u32;
+        self.blob[value_start - 8..value_start - 4].copy_from_slice(&len.to_be_bytes());
+        align4(&mut self.blob);
+    }
+
+    /// Serialises one property, resolving references through the
+    /// phandle map.
+    fn prop(&mut self, p: &'t Property) {
+        let start = self.begin_prop(&p.name);
+        for v in &p.values {
+            match v {
+                PropValue::Cells(cells) => {
+                    for c in cells {
+                        let raw = match c {
+                            Cell::U32(x) => *x,
+                            Cell::Ref(l) => self.phandle(l),
+                        };
+                        put_u32(&mut self.blob, raw);
+                    }
+                }
+                PropValue::Str(s) => {
+                    self.blob.extend_from_slice(s.as_bytes());
+                    self.blob.push(0);
+                }
+                PropValue::Bytes(bs) => self.blob.extend_from_slice(bs),
+                PropValue::Ref(l) => {
+                    let raw = self.phandle(l);
+                    put_u32(&mut self.blob, raw);
+                }
+            }
+        }
+        self.end_prop(start);
+    }
 }
 
 struct Reader<'a> {
@@ -375,9 +399,9 @@ pub fn decode_typed(blob: &[u8]) -> Result<DeviceTree, FdtError> {
             if let Some(strings) = as_string_list(&raw) {
                 p.values = strings.into_iter().map(PropValue::Str).collect();
             } else if raw.len().is_multiple_of(4) && !raw.is_empty() {
-                let cells: Vec<crate::tree::Cell> = raw
+                let cells: Vec<Cell> = raw
                     .chunks(4)
-                    .map(|c| crate::tree::Cell::U32(u32::from_be_bytes([c[0], c[1], c[2], c[3]])))
+                    .map(|c| Cell::U32(u32::from_be_bytes([c[0], c[1], c[2], c[3]])))
                     .collect();
                 p.values = vec![PropValue::Cells(cells)];
             }

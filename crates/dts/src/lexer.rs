@@ -1,17 +1,56 @@
-//! The DTS lexer.
+//! The DTS lexer: hands the parser one token at a time.
+//!
+//! Payloads borrow from the source text; only a string with escapes is
+//! copied. Positions come from the offset of the current line's first
+//! byte, so `column` is the byte offset into the line plus one (a tab or
+//! a multibyte character's continuation bytes each count as a column).
+
+use std::borrow::Cow;
 
 use crate::error::{DtsError, Position};
 
 /// A lexical token with its source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Token {
-    pub(crate) kind: TokenKind,
+pub(crate) struct Token<'s> {
+    pub(crate) kind: TokenKind<'s>,
     pub(crate) at: Position,
+}
+
+impl Token<'_> {
+    /// The token with its payload copied out of the source text.
+    pub(crate) fn into_owned(self) -> Token<'static> {
+        let own = |s: Cow<'_, str>| Cow::Owned(s.into_owned());
+        let kind = match self.kind {
+            TokenKind::Ident(s) => TokenKind::Ident(own(s)),
+            TokenKind::Ref(s) => TokenKind::Ref(own(s)),
+            TokenKind::Str(s) => TokenKind::Str(own(s)),
+            TokenKind::HexRun(s) => TokenKind::HexRun(own(s)),
+            TokenKind::Label(s) => TokenKind::Label(own(s)),
+            TokenKind::DtsV1 => TokenKind::DtsV1,
+            TokenKind::Include => TokenKind::Include,
+            TokenKind::DeleteNode => TokenKind::DeleteNode,
+            TokenKind::DeleteProperty => TokenKind::DeleteProperty,
+            TokenKind::MemReserve => TokenKind::MemReserve,
+            TokenKind::Num(n) => TokenKind::Num(n),
+            TokenKind::LBrace => TokenKind::LBrace,
+            TokenKind::RBrace => TokenKind::RBrace,
+            TokenKind::Lt => TokenKind::Lt,
+            TokenKind::Gt => TokenKind::Gt,
+            TokenKind::LBracket => TokenKind::LBracket,
+            TokenKind::RBracket => TokenKind::RBracket,
+            TokenKind::Semi => TokenKind::Semi,
+            TokenKind::Comma => TokenKind::Comma,
+            TokenKind::Eq => TokenKind::Eq,
+            TokenKind::Slash => TokenKind::Slash,
+            TokenKind::Eof => TokenKind::Eof,
+        };
+        Token { kind, at: self.at }
+    }
 }
 
 /// Token kinds of the DTS grammar subset used by the paper.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum TokenKind {
+pub(crate) enum TokenKind<'s> {
     /// `/dts-v1/` version tag.
     DtsV1,
     /// `/include/` directive keyword.
@@ -24,19 +63,19 @@ pub(crate) enum TokenKind {
     MemReserve,
     /// A name: node names (possibly with `@unit`), property names
     /// (possibly with `#`, `-`, `,`, `.`), label names.
-    Ident(String),
+    Ident(Cow<'s, str>),
     /// `&label` reference.
-    Ref(String),
+    Ref(Cow<'s, str>),
     /// A quoted string literal (unescaped contents).
-    Str(String),
+    Str(Cow<'s, str>),
     /// An integer literal inside a cell list.
     Num(u64),
     /// A bare run of hex digits inside `[ … ]`, kept verbatim so the
     /// parser sees the full lexeme width (`[ 0011 ]` is two bytes, not
     /// the number 0x11).
-    HexRun(String),
+    HexRun(Cow<'s, str>),
     /// `label:` — the ident plus the colon.
-    Label(String),
+    Label(Cow<'s, str>),
     LBrace,
     RBrace,
     Lt,
@@ -51,7 +90,7 @@ pub(crate) enum TokenKind {
     Eof,
 }
 
-impl TokenKind {
+impl TokenKind<'_> {
     pub(crate) fn describe(&self) -> String {
         match self {
             TokenKind::DtsV1 => "'/dts-v1/'".into(),
@@ -80,13 +119,32 @@ impl TokenKind {
     }
 }
 
-pub(crate) struct Lexer<'a> {
-    src: &'a [u8],
+/// Where a [`Lexer`] stands in its source, so lexing of a source that
+/// the lexer cannot borrow for long (an included file) can stop and
+/// resume.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct LexState {
     pos: usize,
     line: u32,
-    col: u32,
+    /// Byte offset of the current line's first byte.
+    line_start: usize,
     /// Inside `[ … ]` byte strings, bare tokens are hex bytes.
     hex_mode: bool,
+}
+
+impl LexState {
+    /// The state at the start of a source.
+    pub(crate) const START: LexState = LexState {
+        pos: 0,
+        line: 1,
+        line_start: 0,
+        hex_mode: false,
+    };
+}
+
+pub(crate) struct Lexer<'s> {
+    src: &'s str,
+    state: LexState,
 }
 
 /// Characters permitted inside node/property names. The DeviceTree spec
@@ -96,185 +154,171 @@ fn is_name_char(c: u8) -> bool {
     c.is_ascii_alphanumeric() || matches!(c, b',' | b'.' | b'_' | b'+' | b'-' | b'@' | b'#' | b'?')
 }
 
-impl<'a> Lexer<'a> {
-    pub(crate) fn new(src: &'a str) -> Lexer<'a> {
-        Lexer {
-            src: src.as_bytes(),
-            pos: 0,
-            line: 1,
-            col: 1,
-            hex_mode: false,
-        }
+impl<'s> Lexer<'s> {
+    pub(crate) fn new(src: &'s str) -> Lexer<'s> {
+        Lexer::resume(src, LexState::START)
+    }
+
+    /// A lexer over `src` continuing from `state`.
+    pub(crate) fn resume(src: &'s str, state: LexState) -> Lexer<'s> {
+        Lexer { src, state }
+    }
+
+    /// Where this lexer stands, for [`Lexer::resume`].
+    pub(crate) fn state(&self) -> LexState {
+        self.state
     }
 
     fn here(&self) -> Position {
-        Position::new(self.line, self.col)
+        let s = &self.state;
+        Position::new(s.line, (s.pos - s.line_start + 1) as u32)
+    }
+
+    fn byte(&self, at: usize) -> Option<u8> {
+        self.src.as_bytes().get(at).copied()
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.byte(self.state.pos)
     }
 
-    fn peek2(&self) -> Option<u8> {
-        self.src.get(self.pos + 1).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek()?;
-        self.pos += 1;
-        if c == b'\n' {
-            self.line += 1;
-            self.col = 1;
-        } else {
-            self.col += 1;
+    /// Moves to byte offset `end`, counting the newlines passed.
+    fn advance_to(&mut self, end: usize) {
+        let s = &mut self.state;
+        for (i, &b) in self.src.as_bytes()[s.pos..end].iter().enumerate() {
+            if b == b'\n' {
+                s.line += 1;
+                s.line_start = s.pos + i + 1;
+            }
         }
-        Some(c)
+        s.pos = end;
+    }
+
+    /// The end of the run of name characters starting at the cursor.
+    fn name_end(&self) -> usize {
+        let start = self.state.pos;
+        start
+            + self.src.as_bytes()[start..]
+                .iter()
+                .take_while(|&&c| is_name_char(c))
+                .count()
     }
 
     fn skip_trivia(&mut self) -> Result<(), DtsError> {
+        let bytes = self.src.as_bytes();
         loop {
+            let pos = self.state.pos;
             match self.peek() {
-                Some(c) if c.is_ascii_whitespace() => {
-                    self.bump();
+                Some(b'\n') => {
+                    let s = &mut self.state;
+                    s.pos += 1;
+                    s.line += 1;
+                    s.line_start = s.pos;
                 }
-                Some(b'/') if self.peek2() == Some(b'/') => {
-                    while let Some(c) = self.peek() {
-                        if c == b'\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
+                Some(c) if c.is_ascii_whitespace() => self.state.pos += 1,
+                Some(b'/') if self.byte(pos + 1) == Some(b'/') => {
+                    // The newline itself is left for the next round.
+                    self.state.pos = bytes[pos..]
+                        .iter()
+                        .position(|&c| c == b'\n')
+                        .map_or(bytes.len(), |i| pos + i);
                 }
-                Some(b'/') if self.peek2() == Some(b'*') => {
+                Some(b'/') if self.byte(pos + 1) == Some(b'*') => {
                     let at = self.here();
-                    self.bump();
-                    self.bump();
-                    loop {
-                        match self.peek() {
-                            None => {
-                                return Err(DtsError::Unterminated {
-                                    at,
-                                    what: "comment",
-                                })
-                            }
-                            Some(b'*') if self.peek2() == Some(b'/') => {
-                                self.bump();
-                                self.bump();
-                                break;
-                            }
-                            _ => {
-                                self.bump();
-                            }
-                        }
-                    }
+                    let body = pos + 2;
+                    let Some(i) = bytes[body..].windows(2).position(|w| w == b"*/") else {
+                        return Err(DtsError::Unterminated {
+                            at,
+                            what: "comment",
+                        });
+                    };
+                    self.advance_to(body + i + 2);
                 }
                 _ => return Ok(()),
             }
         }
     }
 
-    /// Consumes the continuation bytes of a UTF-8 scalar whose lead byte
-    /// `first` was already bumped, and appends the decoded character.
-    /// The source is a `&str`, so well-formed continuations are always
-    /// present; a truncated or malformed sequence becomes an error, not
-    /// a panic.
-    fn push_scalar(&mut self, first: u8, out: &mut String, at: Position) -> Result<(), DtsError> {
-        if first < 0x80 {
-            out.push(first as char);
-            return Ok(());
-        }
-        let width = match first {
-            0xc0..=0xdf => 2,
-            0xe0..=0xef => 3,
-            0xf0..=0xf7 => 4,
-            _ => 1,
-        };
-        let mut buf = [first, 0, 0, 0];
-        for slot in buf.iter_mut().take(width).skip(1) {
-            match self.bump() {
-                Some(b) => *slot = b,
-                None => return Err(DtsError::Unterminated { at, what: "string" }),
-            }
-        }
-        match std::str::from_utf8(&buf[..width]) {
-            Ok(s) => {
-                out.push_str(s);
-                Ok(())
-            }
-            Err(_) => Err(DtsError::Lex {
-                at,
-                found: char::REPLACEMENT_CHARACTER,
-            }),
-        }
-    }
-
-    fn lex_string(&mut self) -> Result<TokenKind, DtsError> {
+    /// A string literal: borrowed up to the closing quote, copied only
+    /// when it holds an escape.
+    fn lex_string(&mut self) -> Result<TokenKind<'s>, DtsError> {
         let at = self.here();
-        self.bump(); // opening quote
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(DtsError::Unterminated { at, what: "string" }),
-                Some(b'"') => return Ok(TokenKind::Str(out)),
-                Some(b'\\') => match self.bump() {
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'0') => out.push('\0'),
-                    Some(c) => self.push_scalar(c, &mut out, at)?,
-                    None => return Err(DtsError::Unterminated { at, what: "string" }),
-                },
-                Some(c) => self.push_scalar(c, &mut out, at)?,
-            }
-        }
-    }
-
-    fn lex_number_or_name(&mut self) -> Result<TokenKind, DtsError> {
-        let at = self.here();
-        let start = self.pos;
-        while let Some(c) = self.peek() {
-            if is_name_char(c) {
-                self.bump();
-            } else {
-                break;
-            }
-        }
-        // `is_name_char` only accepts ASCII, so this cannot allocate
-        // mojibake; build the string byte-by-byte instead of trusting a
-        // `from_utf8().expect()`.
-        let text: String = self.src[start..self.pos]
+        let unterminated = DtsError::Unterminated { at, what: "string" };
+        let src = self.src;
+        let body = self.state.pos + 1;
+        let Some(stop) = src.as_bytes()[body..]
             .iter()
-            .map(|&b| b as char)
-            .collect();
+            .position(|&c| c == b'"' || c == b'\\')
+            .map(|i| body + i)
+        else {
+            return Err(unterminated);
+        };
+        if src.as_bytes()[stop] == b'"' {
+            self.advance_to(stop + 1);
+            return Ok(TokenKind::Str(Cow::Borrowed(&src[body..stop])));
+        }
+        let mut out = String::from(&src[body..stop]);
+        let mut chars = src[stop..].char_indices();
+        loop {
+            match chars.next() {
+                None => return Err(unterminated),
+                Some((i, '"')) => {
+                    self.advance_to(stop + i + 1);
+                    return Ok(TokenKind::Str(Cow::Owned(out)));
+                }
+                Some((_, '\\')) => match chars.next() {
+                    Some((_, 'n')) => out.push('\n'),
+                    Some((_, 't')) => out.push('\t'),
+                    Some((_, 'r')) => out.push('\r'),
+                    Some((_, '0')) => out.push('\0'),
+                    Some((_, c)) => out.push(c),
+                    None => return Err(unterminated),
+                },
+                Some((_, c)) => out.push(c),
+            }
+        }
+    }
+
+    fn lex_number_or_name(&mut self) -> Result<TokenKind<'s>, DtsError> {
+        let at = self.here();
+        let src = self.src;
+        let start = self.state.pos;
+        self.state.pos = self.name_end();
+        // Name characters are ASCII, so the slice is on char boundaries.
+        let text = &src[start..self.state.pos];
+        let bad = |text: &str| DtsError::BadNumber {
+            at,
+            text: text.to_string(),
+        };
         // Inside byte strings every bare token is a raw hex-digit run;
         // keep the lexeme verbatim so leading zero bytes survive.
-        if self.hex_mode {
+        if self.state.hex_mode {
             if !text.is_empty() && text.bytes().all(|c| c.is_ascii_hexdigit()) {
-                return Ok(TokenKind::HexRun(text));
+                return Ok(TokenKind::HexRun(Cow::Borrowed(text)));
             }
-            return Err(DtsError::BadNumber { at, text });
+            return Err(bad(text));
         }
         // A label is a plain identifier immediately followed by ':'.
         if self.peek() == Some(b':') && !text.is_empty() && !text.contains('@') {
-            self.bump();
-            return Ok(TokenKind::Label(text));
+            self.state.pos += 1;
+            return Ok(TokenKind::Label(Cow::Borrowed(text)));
         }
         // Numbers: 0x…, or all-decimal digits.
         if let Some(hex) = text.strip_prefix("0x").or_else(|| text.strip_prefix("0X")) {
             return u64::from_str_radix(hex, 16)
                 .map(TokenKind::Num)
-                .map_err(|_| DtsError::BadNumber { at, text });
+                .map_err(|_| bad(text));
         }
         if !text.is_empty() && text.bytes().all(|c| c.is_ascii_digit()) {
             return text
                 .parse::<u64>()
                 .map(TokenKind::Num)
-                .map_err(|_| DtsError::BadNumber { at, text });
+                .map_err(|_| bad(text));
         }
-        Ok(TokenKind::Ident(text))
+        Ok(TokenKind::Ident(Cow::Borrowed(text)))
     }
 
-    pub(crate) fn next_token(&mut self) -> Result<Token, DtsError> {
+    pub(crate) fn next_token(&mut self) -> Result<Token<'s>, DtsError> {
         self.skip_trivia()?;
         let at = self.here();
         let Some(c) = self.peek() else {
@@ -283,102 +327,59 @@ impl<'a> Lexer<'a> {
                 at,
             });
         };
+        let single = match c {
+            b'{' => Some(TokenKind::LBrace),
+            b'}' => Some(TokenKind::RBrace),
+            b'<' => Some(TokenKind::Lt),
+            b'>' => Some(TokenKind::Gt),
+            b'[' => Some(TokenKind::LBracket),
+            b']' => Some(TokenKind::RBracket),
+            b';' => Some(TokenKind::Semi),
+            b',' => Some(TokenKind::Comma),
+            b'=' => Some(TokenKind::Eq),
+            _ => None,
+        };
+        if let Some(kind) = single {
+            self.state.pos += 1;
+            match kind {
+                TokenKind::LBracket => self.state.hex_mode = true,
+                TokenKind::RBracket => self.state.hex_mode = false,
+                _ => {}
+            }
+            return Ok(Token { kind, at });
+        }
         let kind = match c {
-            b'{' => {
-                self.bump();
-                TokenKind::LBrace
-            }
-            b'}' => {
-                self.bump();
-                TokenKind::RBrace
-            }
-            b'<' => {
-                self.bump();
-                TokenKind::Lt
-            }
-            b'>' => {
-                self.bump();
-                TokenKind::Gt
-            }
-            b'[' => {
-                self.bump();
-                self.hex_mode = true;
-                TokenKind::LBracket
-            }
-            b']' => {
-                self.bump();
-                self.hex_mode = false;
-                TokenKind::RBracket
-            }
-            b';' => {
-                self.bump();
-                TokenKind::Semi
-            }
-            b',' => {
-                self.bump();
-                TokenKind::Comma
-            }
-            b'=' => {
-                self.bump();
-                TokenKind::Eq
-            }
             b'"' => self.lex_string()?,
             b'&' => {
-                self.bump();
-                let start = self.pos;
-                while let Some(c) = self.peek() {
-                    if is_name_char(c) {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                let name: String = self.src[start..self.pos]
-                    .iter()
-                    .map(|&b| b as char)
-                    .collect();
-                if name.is_empty() {
+                self.state.pos += 1;
+                let start = self.state.pos;
+                self.state.pos = self.name_end();
+                if self.state.pos == start {
                     return Err(DtsError::Lex { at, found: '&' });
                 }
-                TokenKind::Ref(name)
+                TokenKind::Ref(Cow::Borrowed(&self.src[start..self.state.pos]))
             }
             b'/' => {
                 // Either a directive /word/ or the bare root name '/'.
-                let rest = &self.src[self.pos + 1..];
-                let directive = |word: &[u8], rest: &[u8]| -> bool {
-                    rest.len() > word.len()
-                        && &rest[..word.len()] == word
-                        && rest[word.len()] == b'/'
+                let rest = &self.src.as_bytes()[self.state.pos + 1..];
+                let directive = |word: &[u8]| -> bool {
+                    rest.len() > word.len() && rest.starts_with(word) && rest[word.len()] == b'/'
                 };
-                if directive(b"dts-v1", rest) {
-                    for _ in 0.."/dts-v1/".len() {
-                        self.bump();
-                    }
-                    TokenKind::DtsV1
-                } else if directive(b"include", rest) {
-                    for _ in 0.."/include/".len() {
-                        self.bump();
-                    }
-                    TokenKind::Include
-                } else if directive(b"delete-node", rest) {
-                    for _ in 0.."/delete-node/".len() {
-                        self.bump();
-                    }
-                    TokenKind::DeleteNode
-                } else if directive(b"delete-property", rest) {
-                    for _ in 0.."/delete-property/".len() {
-                        self.bump();
-                    }
-                    TokenKind::DeleteProperty
-                } else if directive(b"memreserve", rest) {
-                    for _ in 0.."/memreserve/".len() {
-                        self.bump();
-                    }
-                    TokenKind::MemReserve
+                let (kind, len) = if directive(b"dts-v1") {
+                    (TokenKind::DtsV1, "/dts-v1/".len())
+                } else if directive(b"include") {
+                    (TokenKind::Include, "/include/".len())
+                } else if directive(b"delete-node") {
+                    (TokenKind::DeleteNode, "/delete-node/".len())
+                } else if directive(b"delete-property") {
+                    (TokenKind::DeleteProperty, "/delete-property/".len())
+                } else if directive(b"memreserve") {
+                    (TokenKind::MemReserve, "/memreserve/".len())
                 } else {
-                    self.bump();
-                    TokenKind::Slash
-                }
+                    (TokenKind::Slash, 1)
+                };
+                self.state.pos += len;
+                kind
             }
             c if is_name_char(c) => self.lex_number_or_name()?,
             c => {
@@ -390,12 +391,18 @@ impl<'a> Lexer<'a> {
         };
         Ok(Token { kind, at })
     }
+}
 
-    /// Lexes the whole input into a token vector ending with `Eof`.
-    pub(crate) fn tokenize(mut self) -> Result<Vec<Token>, DtsError> {
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every token of `src` up to and including `Eof`.
+    fn tokenize(src: &str) -> Result<Vec<Token<'_>>, DtsError> {
+        let mut lexer = Lexer::new(src);
         let mut out = Vec::new();
         loop {
-            let t = self.next_token()?;
+            let t = lexer.next_token()?;
             let done = t.kind == TokenKind::Eof;
             out.push(t);
             if done {
@@ -403,19 +410,9 @@ impl<'a> Lexer<'a> {
             }
         }
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn kinds(src: &str) -> Vec<TokenKind> {
-        Lexer::new(src)
-            .tokenize()
-            .unwrap()
-            .into_iter()
-            .map(|t| t.kind)
-            .collect()
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
+        tokenize(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
     #[test]
@@ -485,7 +482,7 @@ mod tests {
 
     #[test]
     fn unterminated_string_errors() {
-        let r = Lexer::new("\"abc").tokenize();
+        let r = tokenize("\"abc");
         assert!(matches!(
             r,
             Err(DtsError::Unterminated { what: "string", .. })
@@ -494,7 +491,7 @@ mod tests {
 
     #[test]
     fn unterminated_comment_errors() {
-        let r = Lexer::new("/* abc").tokenize();
+        let r = tokenize("/* abc");
         assert!(matches!(
             r,
             Err(DtsError::Unterminated {
@@ -506,13 +503,13 @@ mod tests {
 
     #[test]
     fn bad_number_errors() {
-        let r = Lexer::new("0xzz").tokenize();
+        let r = tokenize("0xzz");
         assert!(matches!(r, Err(DtsError::BadNumber { .. })));
     }
 
     #[test]
     fn positions_track_lines() {
-        let toks = Lexer::new("a\n  b").tokenize().unwrap();
+        let toks = tokenize("a\n  b").unwrap();
         assert_eq!(toks[0].at, Position::new(1, 1));
         assert_eq!(toks[1].at, Position::new(2, 3));
     }
@@ -537,7 +534,7 @@ mod tests {
 
     #[test]
     fn non_hex_in_byte_string_errors() {
-        let r = Lexer::new("[ 0xzz ]").tokenize();
+        let r = tokenize("[ 0xzz ]");
         assert!(matches!(r, Err(DtsError::BadNumber { .. })));
     }
 

@@ -3,8 +3,10 @@
 use std::collections::HashMap;
 
 use crate::error::{DtsError, Position};
-use crate::lexer::{Lexer, Token, TokenKind};
-use crate::tree::{Cell, ChildIndex, DeviceTree, Node, PropValue, Property};
+use crate::lexer::{LexState, Lexer, Token, TokenKind};
+use crate::tree::{
+    note_labels, Cell, ChildIndex, DeviceTree, LabelSink, Node, PropValue, Property,
+};
 
 /// Supplies the contents of `/include/`d files.
 ///
@@ -76,100 +78,193 @@ pub fn parse(src: &str) -> Result<DeviceTree, DtsError> {
 /// # Errors
 ///
 /// Returns a [`DtsError`] on lexical or syntactic problems, missing
-/// include files, or overly deep include nesting.
+/// include files, or overly deep include nesting. A lexing-phase error
+/// (lexical, an include that cannot be opened or a bad include name)
+/// anywhere in the input wins over a syntax error, as if the whole
+/// input were lexed before parsing: see [`lexing_error`].
 pub fn parse_with_includes(src: &str, provider: &dyn FileProvider) -> Result<DeviceTree, DtsError> {
-    let tokens = tokenize_with_includes(src, provider, 0)?;
-    Parser::new(tokens).parse_document()
+    Parser::new(Tokens::new(src, provider))
+        .and_then(Parser::parse_document)
+        .map_err(|e| lexing_error(src, provider, 0).unwrap_or(e))
 }
 
-/// Lexes `src`, splicing in the token streams of included files at each
-/// `/include/` directive (textual-inclusion semantics, like dtc).
-fn tokenize_with_includes(
-    src: &str,
+/// The token stream of a document with its `/include/`s spliced in
+/// (textual inclusion, like dtc), lexed on demand.
+struct Tokens<'s, 'p> {
+    main: Lexer<'s>,
+    /// The included files being read, innermost last: each file's text
+    /// and where its lexer stands. Their tokens are copied out, since
+    /// the text is dropped when the file ends.
+    includes: Vec<(String, LexState)>,
+    provider: &'p dyn FileProvider,
+}
+
+impl<'s, 'p> Tokens<'s, 'p> {
+    fn new(src: &'s str, provider: &'p dyn FileProvider) -> Tokens<'s, 'p> {
+        Tokens {
+            main: Lexer::new(src),
+            includes: Vec::new(),
+            provider,
+        }
+    }
+
+    /// The next token of the innermost open file.
+    fn raw(&mut self) -> Result<Token<'s>, DtsError> {
+        match self.includes.last_mut() {
+            Some((text, state)) => {
+                let mut lexer = Lexer::resume(text, *state);
+                let t = lexer.next_token()?.into_owned();
+                *state = lexer.state();
+                Ok(t)
+            }
+            None => self.main.next_token(),
+        }
+    }
+
+    /// The next token after include splicing; `Eof` only at the end of
+    /// the main source.
+    fn next(&mut self) -> Result<Token<'s>, DtsError> {
+        loop {
+            let t = self.raw()?;
+            match t.kind {
+                TokenKind::Eof if !self.includes.is_empty() => {
+                    self.includes.pop();
+                }
+                TokenKind::Include => {
+                    let name = self.raw()?;
+                    let text = open_include(t.at, name, self.provider, self.includes.len())?;
+                    self.includes.push((text, LexState::START));
+                }
+                _ => return Ok(t),
+            }
+        }
+    }
+}
+
+/// The text of the file an `/include/` at `at` names with the token
+/// `name`, when the include nests `depth` deep.
+fn open_include(
+    at: Position,
+    name: Token<'_>,
     provider: &dyn FileProvider,
     depth: usize,
-) -> Result<Vec<Token>, DtsError> {
-    let raw = Lexer::new(src).tokenize()?;
-    // Most sources include nothing: keep the lexer's vector instead of
-    // holding a second copy of the stream while it is rebuilt.
-    if !raw.iter().any(|t| t.kind == TokenKind::Include) {
-        return Ok(raw);
+) -> Result<String, DtsError> {
+    let TokenKind::Str(file) = name.kind else {
+        return Err(Parser::unexpected(&name, "include file name"));
+    };
+    if depth >= MAX_INCLUDE_DEPTH {
+        return Err(DtsError::IncludeDepth {
+            file: file.into_owned(),
+        });
     }
-    let mut out = Vec::with_capacity(raw.len());
-    let mut tokens = raw.into_iter();
-    while let Some(t) = tokens.next() {
-        if t.kind != TokenKind::Include {
-            out.push(t);
-            continue;
-        }
-        let Some(next) = tokens.next() else {
-            return Err(DtsError::Unexpected {
-                at: t.at,
-                expected: "include file name".into(),
-                found: "end of input".into(),
-            });
-        };
-        let TokenKind::Str(name) = next.kind else {
-            return Err(Parser::unexpected(&next, "include file name"));
-        };
-        if depth >= MAX_INCLUDE_DEPTH {
-            return Err(DtsError::IncludeDepth { file: name });
-        }
-        let Some(contents) = provider.read(&name) else {
-            return Err(DtsError::MissingInclude {
-                at: t.at,
-                file: name,
-            });
-        };
-        let mut inner = tokenize_with_includes(&contents, provider, depth + 1)?;
-        // Drop the inner EOF.
-        inner.pop();
-        out.extend(inner);
-    }
-    Ok(out)
+    provider
+        .read(&file)
+        .ok_or_else(|| DtsError::MissingInclude {
+            at,
+            file: file.into_owned(),
+        })
 }
 
-struct Parser {
-    tokens: Vec<Token>,
-    pos: usize,
+/// The first lexing-phase error of `src` and its includes, in the order
+/// whole-file lexing meets them: every token of a file is lexed before
+/// any of its includes is opened, and includes are opened in source
+/// order. Only called once parsing has failed, so it may lex twice.
+fn lexing_error(src: &str, provider: &dyn FileProvider, depth: usize) -> Option<DtsError> {
+    let mut lexer = Lexer::new(src);
+    loop {
+        match lexer.next_token() {
+            Err(e) => return Some(e),
+            Ok(t) if t.kind == TokenKind::Eof => break,
+            Ok(_) => {}
+        }
+    }
+    // The whole file lexes, so the unwraps below cannot fail.
+    let mut lexer = Lexer::new(src);
+    loop {
+        let t = lexer.next_token().ok()?;
+        match t.kind {
+            TokenKind::Eof => return None,
+            TokenKind::Include => {
+                let name = lexer.next_token().ok()?;
+                let text = match open_include(t.at, name, provider, depth) {
+                    Ok(text) => text,
+                    Err(e) => return Some(e),
+                };
+                if let Some(e) = lexing_error(&text, provider, depth + 1) {
+                    return Some(e);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The first node in depth-first order carrying each label, by the
+/// child positions leading to it from the root. Nodes are never removed
+/// from or reordered in the tree being assembled (`/delete-node/` acts
+/// on the body being parsed), so positions stay valid, and depth-first
+/// order is the lexicographic order of positions.
+#[derive(Default)]
+struct LabelIndex {
+    first: HashMap<String, Vec<usize>>,
+    /// Position of the node being merged into.
+    at: Vec<usize>,
+}
+
+impl LabelSink for LabelIndex {
+    fn enter(&mut self, child: usize) {
+        self.at.push(child);
+    }
+
+    fn leave(&mut self) {
+        self.at.pop();
+    }
+
+    fn label(&mut self, label: &str) {
+        match self.first.get_mut(label) {
+            Some(first) => {
+                if self.at < *first {
+                    first.clone_from(&self.at);
+                }
+            }
+            None => {
+                self.first.insert(label.to_string(), self.at.clone());
+            }
+        }
+    }
+}
+
+struct Parser<'s, 'p> {
+    tokens: Tokens<'s, 'p>,
+    /// The current (next unconsumed) token.
+    cur: Token<'s>,
     /// Current node-body nesting, checked against [`MAX_NODE_DEPTH`].
     depth: usize,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Parser {
-        Parser {
+impl<'s, 'p> Parser<'s, 'p> {
+    fn new(mut tokens: Tokens<'s, 'p>) -> Result<Parser<'s, 'p>, DtsError> {
+        let cur = tokens.next()?;
+        Ok(Parser {
             tokens,
-            pos: 0,
+            cur,
             depth: 0,
-        }
+        })
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+    fn peek(&self) -> &Token<'s> {
+        &self.cur
     }
 
-    /// Consumes the current token. The parser never looks back, so the
-    /// token is moved out (leaving a payload-free placeholder) rather
-    /// than copied; the final EOF stays put and is returned again.
-    fn bump(&mut self) -> Token {
-        let last = self.tokens.len() - 1;
-        if self.pos < last {
-            let at = self.tokens[self.pos].at;
-            let placeholder = Token {
-                kind: TokenKind::Eof,
-                at,
-            };
-            let t = std::mem::replace(&mut self.tokens[self.pos], placeholder);
-            self.pos += 1;
-            t
-        } else {
-            self.tokens[last].clone()
-        }
+    /// Consumes the current token. At the end of input `Eof` stays
+    /// current and is returned again.
+    fn bump(&mut self) -> Result<Token<'s>, DtsError> {
+        let next = self.tokens.next()?;
+        Ok(std::mem::replace(&mut self.cur, next))
     }
 
-    fn expect(&mut self, kind: &TokenKind, what: &str) -> Result<Token, DtsError> {
-        let t = self.bump();
+    fn expect(&mut self, kind: &TokenKind<'_>, what: &str) -> Result<Token<'s>, DtsError> {
+        let t = self.bump()?;
         if &t.kind == kind {
             Ok(t)
         } else {
@@ -177,7 +272,7 @@ impl Parser {
         }
     }
 
-    fn unexpected(t: &Token, expected: &str) -> DtsError {
+    fn unexpected(t: &Token<'_>, expected: &str) -> DtsError {
         DtsError::Unexpected {
             at: t.at,
             expected: expected.to_string(),
@@ -188,8 +283,9 @@ impl Parser {
     /// document := '/dts-v1/' ';' toplevel* EOF
     fn parse_document(mut self) -> Result<DeviceTree, DtsError> {
         let mut tree = DeviceTree::default();
+        let mut labels = LabelIndex::default();
         if self.peek().kind == TokenKind::DtsV1 {
-            self.bump();
+            self.bump()?;
             self.expect(&TokenKind::Semi, "';' after /dts-v1/")?;
             tree.has_version_tag = true;
         }
@@ -197,20 +293,26 @@ impl Parser {
             match &self.peek().kind {
                 TokenKind::Eof => break,
                 TokenKind::Slash => {
-                    self.bump();
-                    let body = self.parse_node_body("")?;
-                    let mut root = body;
-                    root.name = String::new();
-                    tree.root.merge(root);
+                    self.bump()?;
+                    let root = self.parse_node_body(String::new())?;
+                    labels.at.clear();
+                    if tree.root == Node::default() {
+                        // A body's children and properties have unique
+                        // names already, so the first block is the root.
+                        tree.root = root;
+                        note_labels(&tree.root, &mut labels);
+                    } else {
+                        tree.root.merge_into(root, &mut labels);
+                    }
                     self.expect(&TokenKind::Semi, "';' after node")?;
                 }
                 TokenKind::MemReserve => {
-                    self.bump();
-                    let a = self.bump();
+                    self.bump()?;
+                    let a = self.bump()?;
                     let TokenKind::Num(addr) = a.kind else {
                         return Err(Parser::unexpected(&a, "address after /memreserve/"));
                     };
-                    let b = self.bump();
+                    let b = self.bump()?;
                     let TokenKind::Num(size) = b.kind else {
                         return Err(Parser::unexpected(&b, "size after /memreserve/"));
                     };
@@ -218,23 +320,22 @@ impl Parser {
                     tree.reservations.push((addr, size));
                 }
                 TokenKind::Ref(_) => {
-                    let t = self.bump();
-                    let TokenKind::Ref(label) = t.kind else {
-                        unreachable!()
+                    let TokenKind::Ref(label) = self.bump()?.kind else {
+                        unreachable!("peeked a reference")
                     };
-                    let body = self.parse_node_body("")?;
+                    let patch = self.parse_node_body(String::new())?;
                     self.expect(&TokenKind::Semi, "';' after node")?;
-                    let path = tree
-                        .resolve_label(&label)
-                        .ok_or(DtsError::UnknownLabel { label })?;
-                    let target = tree
-                        .find_path_mut(&path)
-                        .ok_or_else(|| DtsError::NoSuchNode {
-                            path: path.to_string(),
-                        })?;
-                    let mut patch = body;
-                    patch.name = target.name.clone();
-                    target.merge(patch);
+                    let Some(at) = labels.first.get(label.as_ref()) else {
+                        return Err(DtsError::UnknownLabel {
+                            label: label.into_owned(),
+                        });
+                    };
+                    labels.at.clone_from(at);
+                    let target = labels
+                        .at
+                        .iter()
+                        .fold(&mut tree.root, |node, &i| &mut node.children[i]);
+                    target.merge_into(patch, &mut labels);
                 }
                 _ => {
                     return Err(Parser::unexpected(
@@ -251,24 +352,27 @@ impl Parser {
     ///
     /// The leading name/labels are consumed by the caller; `name` is the
     /// node's name.
-    fn parse_node_body(&mut self, name: &str) -> Result<Node, DtsError> {
+    fn parse_node_body(&mut self, name: String) -> Result<Node, DtsError> {
         let open = self.expect(&TokenKind::LBrace, "'{'")?;
         self.depth += 1;
         if self.depth > MAX_NODE_DEPTH {
             return Err(DtsError::TooDeep { at: open.at });
         }
-        let mut node = Node::new(name);
+        let mut node = Node {
+            name,
+            ..Node::default()
+        };
         let mut index = ChildIndex::default();
         loop {
             match &self.peek().kind {
                 TokenKind::RBrace => {
-                    self.bump();
+                    self.bump()?;
                     self.depth -= 1;
                     return Ok(node);
                 }
                 TokenKind::DeleteNode => {
-                    self.bump();
-                    let t = self.bump();
+                    self.bump()?;
+                    let t = self.bump()?;
                     let TokenKind::Ident(child) = t.kind else {
                         return Err(Parser::unexpected(&t, "node name after /delete-node/"));
                     };
@@ -277,8 +381,8 @@ impl Parser {
                     self.expect(&TokenKind::Semi, "';' after /delete-node/")?;
                 }
                 TokenKind::DeleteProperty => {
-                    self.bump();
-                    let t = self.bump();
+                    self.bump()?;
+                    let t = self.bump()?;
                     let TokenKind::Ident(prop) = t.kind else {
                         return Err(Parser::unexpected(
                             &t,
@@ -292,41 +396,44 @@ impl Parser {
                     // One or more labels, then a child node.
                     let mut labels = Vec::new();
                     while let TokenKind::Label(_) = self.peek().kind {
-                        if let TokenKind::Label(l) = self.bump().kind {
-                            labels.push(l);
+                        if let TokenKind::Label(l) = self.bump()?.kind {
+                            labels.push(l.into_owned());
                         }
                     }
-                    let t = self.bump();
+                    let t = self.bump()?;
                     let TokenKind::Ident(child_name) = t.kind else {
                         return Err(Parser::unexpected(&t, "node name after label"));
                     };
-                    let mut child = self.parse_node_body(&child_name)?;
+                    let mut child = self.parse_node_body(child_name.into_owned())?;
                     self.expect(&TokenKind::Semi, "';' after node")?;
                     child.labels.splice(0..0, labels);
                     index.insert(&mut node.children, child);
                 }
                 TokenKind::Ident(_) => {
-                    let TokenKind::Ident(ident) = self.bump().kind else {
+                    let TokenKind::Ident(ident) = self.bump()?.kind else {
                         unreachable!("peeked an identifier")
                     };
                     match self.peek().kind {
                         TokenKind::LBrace => {
-                            let child = self.parse_node_body(&ident)?;
+                            let child = self.parse_node_body(ident.into_owned())?;
                             self.expect(&TokenKind::Semi, "';' after node")?;
                             index.insert(&mut node.children, child);
                         }
                         TokenKind::Eq => {
-                            self.bump();
+                            self.bump()?;
                             let values = self.parse_values()?;
                             self.expect(&TokenKind::Semi, "';' after property")?;
                             node.set_prop(Property {
-                                name: ident,
+                                name: ident.into_owned(),
                                 values,
                             });
                         }
                         TokenKind::Semi => {
-                            self.bump();
-                            node.set_prop(Property::flag(&ident));
+                            self.bump()?;
+                            node.set_prop(Property {
+                                name: ident.into_owned(),
+                                values: Vec::new(),
+                            });
                         }
                         _ => {
                             return Err(Parser::unexpected(
@@ -347,7 +454,7 @@ impl Parser {
         loop {
             out.push(self.parse_value()?);
             if self.peek().kind == TokenKind::Comma {
-                self.bump();
+                self.bump()?;
             } else {
                 return Ok(out);
             }
@@ -356,12 +463,12 @@ impl Parser {
 
     /// value := '<' cell* '>' | string | '[' byte* ']' | '&label'
     fn parse_value(&mut self) -> Result<PropValue, DtsError> {
-        let t = self.bump();
+        let t = self.bump()?;
         match t.kind {
             TokenKind::Lt => {
                 let mut cells = Vec::new();
                 loop {
-                    let t = self.bump();
+                    let t = self.bump()?;
                     match t.kind {
                         TokenKind::Gt => return Ok(PropValue::Cells(cells)),
                         TokenKind::Num(n) => {
@@ -371,16 +478,16 @@ impl Parser {
                             })?;
                             cells.push(Cell::U32(v));
                         }
-                        TokenKind::Ref(l) => cells.push(Cell::Ref(l)),
+                        TokenKind::Ref(l) => cells.push(Cell::Ref(l.into_owned())),
                         _ => return Err(Parser::unexpected(&t, "cell value or '>'")),
                     }
                 }
             }
-            TokenKind::Str(s) => Ok(PropValue::Str(s)),
+            TokenKind::Str(s) => Ok(PropValue::Str(s.into_owned())),
             TokenKind::LBracket => {
                 let mut bytes = Vec::new();
                 loop {
-                    let t = self.bump();
+                    let t = self.bump()?;
                     match t.kind {
                         TokenKind::RBracket => return Ok(PropValue::Bytes(bytes)),
                         TokenKind::HexRun(run) => {
@@ -391,7 +498,7 @@ impl Parser {
                             if run.len() % 2 == 1 {
                                 return Err(DtsError::OddByteString {
                                     at: t.at,
-                                    text: run,
+                                    text: run.into_owned(),
                                 });
                             }
                             for pair in run.as_bytes().chunks(2) {
@@ -402,17 +509,10 @@ impl Parser {
                     }
                 }
             }
-            TokenKind::Ref(l) => Ok(PropValue::Ref(l)),
+            TokenKind::Ref(l) => Ok(PropValue::Ref(l.into_owned())),
             _ => Err(Parser::unexpected(&t, "property value")),
         }
     }
-}
-
-/// The position of the current token — exposed for error reporting by
-/// callers embedding the parser.
-#[allow(dead_code)]
-fn position_of(t: &Token) -> Position {
-    t.at
 }
 
 /// Converts one hex-digit pair to its byte. The lexer guarantees both
@@ -664,6 +764,81 @@ mod tests {
             Err(DtsError::Unexpected { at, .. }) => assert_eq!(at.line, 2),
             other => panic!("expected Unexpected, got {other:?}"),
         }
+    }
+
+    /// Lexing-phase errors win over syntax errors wherever they are,
+    /// as if the whole input were lexed before parsing.
+    #[test]
+    fn lexer_errors_win_over_earlier_syntax_errors() {
+        let r = parse("/ { a = ; };\n/ { b = \"oops\n");
+        assert_eq!(
+            r,
+            Err(DtsError::Unterminated {
+                at: Position::new(2, 9),
+                what: "string"
+            })
+        );
+        let r = parse("/ { a = ; };\n/include/ \"nope.dtsi\"\n");
+        assert_eq!(
+            r,
+            Err(DtsError::MissingInclude {
+                at: Position::new(2, 1),
+                file: "nope.dtsi".into()
+            })
+        );
+    }
+
+    /// A file's own lexical errors come before the errors of the files
+    /// it includes, and included files are opened in source order.
+    #[test]
+    fn lexing_error_order_across_includes() {
+        let mut files = MapFileProvider::new();
+        files.insert("bad.dtsi", "/ { x = \"never closed };\n");
+        files.insert("ok.dtsi", "/ { y; };\n");
+        let r = parse_with_includes("/include/ \"nope.dtsi\"\n/ { z = 0xzz; };\n", &files);
+        assert!(matches!(r, Err(DtsError::BadNumber { .. })), "{r:?}");
+        let r = parse_with_includes(
+            "/ { a = ; };\n/include/ \"ok.dtsi\"\n/include/ \"bad.dtsi\"\n/include/ \"nope.dtsi\"\n",
+            &files,
+        );
+        assert_eq!(
+            r,
+            Err(DtsError::Unterminated {
+                at: Position::new(1, 9),
+                what: "string"
+            })
+        );
+        let r = parse_with_includes("/ { };\n/include/ nope\n", &files);
+        assert!(
+            matches!(&r, Err(DtsError::Unexpected { at, .. }) if *at == Position::new(2, 11)),
+            "{r:?}"
+        );
+    }
+
+    /// Columns count bytes: a tab is one column, a multibyte character
+    /// one per byte, and `\r` before a newline one more.
+    #[test]
+    fn error_positions_count_bytes() {
+        let at = |src: &str| match parse(src) {
+            Err(DtsError::Lex { at, .. } | DtsError::Unexpected { at, .. }) => at,
+            other => panic!("expected a positioned error, got {other:?}"),
+        };
+        assert_eq!(
+            at("/ {\n\tname = \"µ-ctrl\"; $\n};\n"),
+            Position::new(2, 20)
+        );
+        assert_eq!(
+            at("/ {\n\t\tx\t=\t<1>\t;\n\t\t\tbad bad;\n};\n"),
+            Position::new(3, 8)
+        );
+        assert_eq!(
+            at("/ {\r\n\tx = <1>;\r\n\ty = <2> z;\r\n};\r\n"),
+            Position::new(3, 10)
+        );
+        assert_eq!(
+            at("/* µ\n µ */ / { s = \"a\\\"µ\nb\"; ; };"),
+            Position::new(3, 5)
+        );
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! The DeviceTree data model: nodes, properties, values and paths.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::RandomState;
+use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use crate::error::DtsError;
 
@@ -126,48 +129,30 @@ impl Property {
     /// if any cell is an unresolved reference or a value is not a cell
     /// list.
     pub fn flat_cells(&self) -> Option<Vec<u32>> {
-        let mut out = Vec::new();
-        for v in &self.values {
-            match v {
-                PropValue::Cells(cs) => {
-                    for c in cs {
-                        match c {
-                            Cell::U32(x) => out.push(*x),
-                            Cell::Ref(_) => return None,
-                        }
-                    }
-                }
-                _ => return None,
-            }
-        }
-        Some(out)
+        self.literal_cells().map(Iterator::collect)
     }
 
-    /// The property value serialised to FDT bytes (big-endian cells,
-    /// NUL-terminated strings, raw bytes). References serialise as a
-    /// zero cell (an unresolved phandle).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        for v in &self.values {
-            match v {
-                PropValue::Cells(cs) => {
-                    for c in cs {
-                        let raw = match c {
-                            Cell::U32(x) => *x,
-                            Cell::Ref(_) => 0,
-                        };
-                        out.extend_from_slice(&raw.to_be_bytes());
-                    }
-                }
-                PropValue::Str(s) => {
-                    out.extend_from_slice(s.as_bytes());
-                    out.push(0);
-                }
-                PropValue::Bytes(bs) => out.extend_from_slice(bs),
-                PropValue::Ref(_) => out.extend_from_slice(&0u32.to_be_bytes()),
-            }
+    /// [`Property::flat_cells`] as an iterator, without the vector.
+    pub fn literal_cells(&self) -> Option<impl Iterator<Item = u32> + Clone + '_> {
+        let literal = |v: &PropValue| match v {
+            PropValue::Cells(cs) => cs.iter().all(|c| matches!(c, Cell::U32(_))),
+            _ => false,
+        };
+        if !self.values.iter().all(literal) {
+            return None;
         }
-        out
+        let cells = self
+            .values
+            .iter()
+            .flat_map(|v| match v {
+                PropValue::Cells(cs) => cs.as_slice(),
+                _ => &[],
+            })
+            .filter_map(|c| match c {
+                Cell::U32(x) => Some(*x),
+                Cell::Ref(_) => None,
+            });
+        Some(cells)
     }
 }
 
@@ -298,7 +283,14 @@ impl Node {
     /// are unioned. This is the semantics of writing the same node twice
     /// in DTS source (and of delta `modifies`).
     pub fn merge(&mut self, other: Node) {
+        self.merge_into(other, &mut ());
+    }
+
+    /// [`Node::merge`], telling `sink` where each of `other`'s labels
+    /// lands.
+    pub(crate) fn merge_into(&mut self, other: Node, sink: &mut impl LabelSink) {
         for l in other.labels {
+            sink.label(&l);
             if !self.labels.contains(&l) {
                 self.labels.push(l);
             }
@@ -312,7 +304,7 @@ impl Node {
         }
         let mut index = ChildIndex::new(&self.children);
         for c in other.children {
-            index.insert(&mut self.children, c);
+            index.insert_into(&mut self.children, c, sink);
         }
     }
 
@@ -320,19 +312,40 @@ impl Node {
     /// each node's path.
     pub fn walk(&self) -> Vec<(NodePath, &Node)> {
         let mut out = Vec::new();
-        fn rec<'a>(node: &'a Node, path: &NodePath, out: &mut Vec<(NodePath, &'a Node)>) {
-            let here = if node.name.is_empty() {
-                NodePath::root()
-            } else {
-                path.join(&node.name)
-            };
-            out.push((here.clone(), node));
-            for c in &node.children {
-                rec(c, &here, out);
-            }
-        }
-        rec(self, &NodePath::root(), &mut out);
+        let Ok(()) = self.visit((), |v, _| {
+            out.push((v.path.to_node_path(), v.node));
+            Ok::<_, Infallible>(())
+        });
         out
+    }
+
+    /// Visits this node and its descendants depth first, parents before
+    /// children, without materialising paths: each [`Visit`] borrows
+    /// its path from one buffer reused across the walk. `f` also gets
+    /// the state its parent's call returned (`state` for this node) and
+    /// returns the state handed to the node's children; an `Err` stops
+    /// the walk and is returned.
+    ///
+    /// A node with an empty name has the root path `/`, as the root
+    /// does, and its children's paths start over from it.
+    ///
+    /// # Errors
+    ///
+    /// The first `Err` that `f` returns.
+    pub fn visit<'t, S, E>(
+        &'t self,
+        state: S,
+        mut f: impl FnMut(&Visit<'_, 't>, &S) -> Result<S, E>,
+    ) -> Result<(), E> {
+        let mut path = Vec::new();
+        if !self.name.is_empty() {
+            path.push(self.name.as_str());
+        }
+        let defaults = (
+            crate::cells::DEFAULT_ADDRESS_CELLS,
+            crate::cells::DEFAULT_SIZE_CELLS,
+        );
+        visit_rec(self, &mut path, 0, defaults, &state, &mut f)
     }
 
     /// Total number of nodes in this subtree (including `self`).
@@ -346,29 +359,210 @@ impl Node {
 /// siblings. It describes one `children` vector and must be rebuilt
 /// with [`ChildIndex::new`] after anything but [`ChildIndex::insert`]
 /// changes that vector.
+///
+/// The index keeps each name's keyed hash, not the name: a lookup
+/// confirms the name at the position found, and only two different
+/// names with one 64-bit hash fall back to a scan of the siblings.
 #[derive(Debug, Default)]
-pub(crate) struct ChildIndex(HashMap<String, usize>);
+pub(crate) struct ChildIndex {
+    names: RandomState,
+    first: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
+}
+
+/// The hasher of [`ChildIndex`]'s map, whose keys are already keyed
+/// hashes.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 impl ChildIndex {
     /// Indexes `children`; a repeated name maps to its first position.
     pub(crate) fn new(children: &[Node]) -> ChildIndex {
-        let mut map = HashMap::with_capacity(children.len());
+        let mut index = ChildIndex::default();
+        index.first.reserve(children.len());
         for (i, c) in children.iter().enumerate() {
-            map.entry(c.name.clone()).or_insert(i);
+            let h = index.names.hash_one(&c.name);
+            index.first.entry(h).or_insert(i);
         }
-        ChildIndex(map)
+        index
+    }
+
+    /// The position of the first child named `name`, and `name`'s hash.
+    fn find(&self, children: &[Node], name: &str) -> (Option<usize>, u64) {
+        let h = self.names.hash_one(name);
+        let at = match self.first.get(&h) {
+            Some(&i) if children[i].name == name => Some(i),
+            Some(_) => children.iter().position(|c| c.name == name),
+            None => None,
+        };
+        (at, h)
     }
 
     /// Merges `child` into the first same-named node of `children`, or
     /// appends it when there is none.
     pub(crate) fn insert(&mut self, children: &mut Vec<Node>, child: Node) {
-        match self.0.get(&child.name) {
-            Some(&i) => children[i].merge(child),
-            None => {
-                self.0.insert(child.name.clone(), children.len());
+        self.insert_into(children, child, &mut ());
+    }
+
+    /// [`ChildIndex::insert`], telling `sink` where each of `child`'s
+    /// labels lands.
+    fn insert_into<S: LabelSink>(&mut self, children: &mut Vec<Node>, child: Node, sink: &mut S) {
+        match self.find(children, &child.name) {
+            (Some(i), _) => {
+                sink.enter(i);
+                children[i].merge_into(child, sink);
+                sink.leave();
+            }
+            (None, h) => {
+                let i = children.len();
+                self.first.entry(h).or_insert(i);
                 children.push(child);
+                if S::NOTES {
+                    sink.enter(i);
+                    note_labels(&children[i], sink);
+                    sink.leave();
+                }
             }
         }
+    }
+}
+
+/// Told, during a merge, which labels land on which node: the node
+/// being merged into is the one reached by the [`LabelSink::enter`]s
+/// not yet undone by [`LabelSink::leave`], counted from the node the
+/// merge started at.
+pub(crate) trait LabelSink {
+    /// `false` for a sink that ignores every call.
+    const NOTES: bool = true;
+    /// Descends to child `child` of the current node.
+    fn enter(&mut self, child: usize);
+    /// Returns to the parent of the current node.
+    fn leave(&mut self);
+    /// `label` is on the current node.
+    fn label(&mut self, label: &str);
+}
+
+/// The sink of a plain merge, which tracks nothing.
+impl LabelSink for () {
+    const NOTES: bool = false;
+    fn enter(&mut self, _child: usize) {}
+    fn leave(&mut self) {}
+    fn label(&mut self, _label: &str) {}
+}
+
+/// Tells `sink` every label of `node`'s subtree, `node` being current.
+pub(crate) fn note_labels(node: &Node, sink: &mut impl LabelSink) {
+    for l in &node.labels {
+        sink.label(l);
+    }
+    for (i, c) in node.children.iter().enumerate() {
+        sink.enter(i);
+        note_labels(c, sink);
+        sink.leave();
+    }
+}
+
+/// One node met by [`Node::visit`].
+#[derive(Debug, Clone, Copy)]
+pub struct Visit<'v, 't> {
+    /// The node.
+    pub node: &'t Node,
+    /// The node's absolute path.
+    pub path: PathRef<'v>,
+    /// The `(#address-cells, #size-cells)` the node's parent declares,
+    /// under which the node's `reg` is read; the specification's
+    /// defaults for the node the walk starts at.
+    pub parent_cells: (u32, u32),
+}
+
+fn visit_rec<'t, S, E, F>(
+    node: &'t Node,
+    path: &mut Vec<&'t str>,
+    base: usize,
+    parent_cells: (u32, u32),
+    state: &S,
+    f: &mut F,
+) -> Result<(), E>
+where
+    F: FnMut(&Visit<'_, 't>, &S) -> Result<S, E>,
+{
+    let visit = Visit {
+        node,
+        path: PathRef(&path[base..]),
+        parent_cells,
+    };
+    let child_state = f(&visit, state)?;
+    if node.children.is_empty() {
+        return Ok(());
+    }
+    let cells = crate::cells::cell_counts(node);
+    for c in &node.children {
+        let len = path.len();
+        let base = if c.name.is_empty() {
+            len
+        } else {
+            path.push(&c.name);
+            base
+        };
+        visit_rec(c, path, base, cells, &child_state, f)?;
+        path.truncate(len);
+    }
+    Ok(())
+}
+
+/// A borrowed absolute node path, as segments; displays like
+/// [`NodePath`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PathRef<'a>(&'a [&'a str]);
+
+impl PathRef<'_> {
+    /// The path as an owned [`NodePath`].
+    pub fn to_node_path(self) -> NodePath {
+        NodePath(self.0.iter().map(|s| s.to_string()).collect())
+    }
+}
+
+impl From<PathRef<'_>> for String {
+    /// The path as text, allocated once at its exact length.
+    fn from(path: PathRef<'_>) -> String {
+        let len = path.0.iter().map(|s| s.len() + 1).sum::<usize>().max(1);
+        let mut out = String::with_capacity(len);
+        if path.0.is_empty() {
+            out.push('/');
+        }
+        for seg in path.0 {
+            out.push('/');
+            out.push_str(seg);
+        }
+        out
+    }
+}
+
+impl fmt::Display for PathRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.is_empty() {
+            return f.write_str("/");
+        }
+        for seg in self.0 {
+            f.write_str("/")?;
+            f.write_str(seg)?;
+        }
+        Ok(())
     }
 }
 
@@ -536,13 +730,17 @@ impl DeviceTree {
             })
     }
 
-    /// Resolves a `&label` to the path of the labelled node.
+    /// Resolves a `&label` to the path of the first node, depth first,
+    /// carrying it.
     pub fn resolve_label(&self, label: &str) -> Option<NodePath> {
-        self.root
-            .walk()
-            .into_iter()
-            .find(|(_, n)| n.labels.iter().any(|l| l == label))
-            .map(|(p, _)| p)
+        let found = self.root.visit((), |v, _| {
+            if v.node.labels.iter().any(|l| l == label) {
+                Err(v.path.to_node_path())
+            } else {
+                Ok(())
+            }
+        });
+        found.err()
     }
 
     /// All nodes with their paths, depth first.
@@ -574,19 +772,20 @@ impl DeviceTree {
 
     /// Assigns phandles to every labelled node and returns the mapping
     /// label → phandle value (used by the FDT encoder to resolve
-    /// references).
-    pub fn phandle_map(&self) -> BTreeMap<String, u32> {
-        let mut map = BTreeMap::new();
-        let mut next = 1u32;
-        for (_, n) in self.root.walk() {
-            for l in &n.labels {
-                map.entry(l.clone()).or_insert_with(|| {
-                    let v = next;
-                    next += 1;
-                    v
-                });
+    /// references): depth first, each label not seen before takes the
+    /// next number from 1.
+    pub(crate) fn phandle_map(&self) -> HashMap<&str, u32> {
+        fn rec<'t>(node: &'t Node, map: &mut HashMap<&'t str, u32>) {
+            for l in &node.labels {
+                let next = map.len() as u32 + 1;
+                map.entry(l.as_str()).or_insert(next);
+            }
+            for c in &node.children {
+                rec(c, map);
             }
         }
+        let mut map = HashMap::new();
+        rec(&self.root, &mut map);
         map
     }
 }
@@ -756,19 +955,6 @@ mod tests {
         assert_eq!(t.resolve_alias("serial0").unwrap().name, "uart@20000000");
         assert!(t.resolve_alias("ghost").is_none());
         assert!(t.resolve_alias("unknown").is_none());
-    }
-
-    #[test]
-    fn property_to_bytes() {
-        let p = Property::cells("reg", [0x12345678, 0x1000]);
-        assert_eq!(
-            p.to_bytes(),
-            vec![0x12, 0x34, 0x56, 0x78, 0x00, 0x00, 0x10, 0x00]
-        );
-        let p = Property::string("device_type", "memory");
-        assert_eq!(p.to_bytes(), b"memory\0".to_vec());
-        let p = Property::flag("ranges");
-        assert!(p.to_bytes().is_empty());
     }
 
     #[test]

@@ -2,9 +2,13 @@
 //! insertion agree with a naive linear-scan reference kept here, on
 //! sources full of repeated child names, re-opened nodes, labels on the
 //! repeats, `/delete-node/` between repeats, repeated top-level blocks
-//! and `&label` patches.
+//! and `&label` patches. The reference resolves each patch's label by
+//! a depth-first search of the whole tree, so long patch sequences
+//! check the parser's label index: patches add labelled children,
+//! sometimes ahead of a label's current first node in depth-first
+//! order.
 
-use llhsc_dts::{parse, DeviceTree, DtsError, Node, Property};
+use llhsc_dts::{parse, DeviceTree, DtsError, Node, NodePath, Property};
 use proptest::prelude::*;
 
 /// A small name pool so siblings repeat; `c` and `c@1` share a base
@@ -67,6 +71,16 @@ fn arb_doc() -> impl Strategy<Value = Vec<Top>> {
         (0..LABELS.len(), arb_items(1)).prop_map(|(l, body)| Top::Patch(l, body)),
     ];
     prop::collection::vec(top, 1..4)
+}
+
+/// One root block, then a run of `&label` patches.
+fn arb_patch_doc() -> impl Strategy<Value = Vec<Top>> {
+    let patches = prop::collection::vec((0..LABELS.len(), arb_items(1)), 1..16);
+    (arb_items(2), patches).prop_map(|(root, patches)| {
+        let mut doc = vec![Top::Root(root)];
+        doc.extend(patches.into_iter().map(|(l, body)| Top::Patch(l, body)));
+        doc
+    })
 }
 
 fn render_items(items: &[Item], out: &mut String) {
@@ -147,6 +161,17 @@ fn naive_body(name: &str, items: &[Item]) -> Node {
     node
 }
 
+/// The path of the first node carrying `label`, depth first, by a
+/// search of the whole tree.
+fn naive_resolve(node: &Node, path: NodePath, label: &str) -> Option<NodePath> {
+    if node.labels.iter().any(|l| l == label) {
+        return Some(path);
+    }
+    node.children
+        .iter()
+        .find_map(|c| naive_resolve(c, path.join(&c.name), label))
+}
+
 /// Reference interpretation of a whole document.
 fn naive_parse(doc: &[Top]) -> Result<DeviceTree, DtsError> {
     let mut tree = DeviceTree::new();
@@ -155,11 +180,11 @@ fn naive_parse(doc: &[Top]) -> Result<DeviceTree, DtsError> {
             Top::Root(body) => naive_merge(&mut tree.root, naive_body("", body)),
             Top::Patch(l, body) => {
                 let label = LABELS[*l];
-                let path = tree
-                    .resolve_label(label)
-                    .ok_or_else(|| DtsError::UnknownLabel {
+                let path = naive_resolve(&tree.root, NodePath::root(), label).ok_or_else(|| {
+                    DtsError::UnknownLabel {
                         label: label.to_string(),
-                    })?;
+                    }
+                })?;
                 let target = tree
                     .find_path_mut(&path)
                     .ok_or_else(|| DtsError::NoSuchNode {
@@ -192,6 +217,17 @@ proptest! {
     /// Parsing a document equals interpreting it with linear scans.
     #[test]
     fn parse_matches_naive_reference(doc in arb_doc()) {
+        let text = render(&doc);
+        match (parse(&text), naive_parse(&doc)) {
+            (Ok(got), Ok(want)) => prop_assert_eq!(got, want),
+            (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+            (got, want) => prop_assert!(false, "{text}\nparse: {got:?}\nreference: {want:?}"),
+        }
+    }
+
+    /// Long runs of `&label` patches resolve like a whole-tree search.
+    #[test]
+    fn patch_sequences_match_naive_reference(doc in arb_patch_doc()) {
         let text = render(&doc);
         match (parse(&text), naive_parse(&doc)) {
             (Ok(got), Ok(want)) => prop_assert_eq!(got, want),

@@ -9,9 +9,9 @@
 //! gap the paper's semantic checker (and our
 //! [`llhsc::SemanticChecker`](https://docs.rs/llhsc)) fills.
 
+use std::convert::Infallible;
 use std::fmt;
 
-use llhsc_dts::cells::{cell_counts, DEFAULT_ADDRESS_CELLS, DEFAULT_SIZE_CELLS};
 use llhsc_dts::{DeviceTree, Node, PropValue, Property};
 
 use crate::schema::{PropRule, PropType, Schema, SchemaSet};
@@ -84,37 +84,15 @@ impl fmt::Display for Violation {
 /// structurally valid against the schema set.
 pub fn check_structural(tree: &DeviceTree, schemas: &SchemaSet) -> Vec<Violation> {
     let mut out = Vec::new();
-    walk(
-        &tree.root,
-        String::new(),
-        (DEFAULT_ADDRESS_CELLS, DEFAULT_SIZE_CELLS),
-        schemas,
-        &mut out,
-    );
+    let Ok(()) = tree.root.visit((), |v, _| {
+        let mut path = None;
+        for schema in schemas.applicable(v.node) {
+            let path = path.get_or_insert_with(|| String::from(v.path));
+            check_node(v.node, path, v.parent_cells, schema, &mut out);
+        }
+        Ok::<_, Infallible>(())
+    });
     out
-}
-
-fn walk(
-    node: &Node,
-    path: String,
-    parent_cells: (u32, u32),
-    schemas: &SchemaSet,
-    out: &mut Vec<Violation>,
-) {
-    let here = if node.name.is_empty() {
-        "/".to_string()
-    } else if path == "/" || path.is_empty() {
-        format!("/{}", node.name)
-    } else {
-        format!("{path}/{}", node.name)
-    };
-    for schema in schemas.applicable(node) {
-        check_node(node, &here, parent_cells, schema, out);
-    }
-    let my_cells = cell_counts(node);
-    for c in &node.children {
-        walk(c, here.clone(), my_cells, schemas, out);
-    }
 }
 
 fn check_node(

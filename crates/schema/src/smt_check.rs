@@ -26,9 +26,9 @@
 //! rules — this is the paper's "easily traced back" property.
 
 use std::collections::BTreeSet;
+use std::convert::Infallible;
 use std::fmt;
 
-use llhsc_dts::cells::{cell_counts, DEFAULT_ADDRESS_CELLS, DEFAULT_SIZE_CELLS};
 use llhsc_dts::{DeviceTree, Node, Property};
 use llhsc_smt::{
     slice_key, CertStats, CheckResult, Context, SessionStats, Slice, SolverSession, TermId,
@@ -183,56 +183,22 @@ fn encode_tree(
     tree: &DeviceTree,
     schemas: &SchemaSet,
 ) {
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        session: &mut SolverSession,
-        markers: &mut Vec<(TermId, RuleInfo)>,
-        obligations: &mut Vec<TermId>,
-        node: &Node,
-        path: String,
-        parent_cells: (u32, u32),
-        schemas: &SchemaSet,
-    ) {
-        let here = if node.name.is_empty() {
-            "/".to_string()
-        } else if path == "/" {
-            format!("/{}", node.name)
-        } else {
-            format!("{path}/{}", node.name)
-        };
-        for schema in schemas.applicable(node) {
+    let Ok(()) = tree.root.visit((), |v, _| {
+        let mut path = None;
+        for schema in schemas.applicable(v.node) {
+            let path = path.get_or_insert_with(|| String::from(v.path));
             encode_binding(
                 session,
                 markers,
                 obligations,
-                node,
-                &here,
-                parent_cells,
+                v.node,
+                path,
+                v.parent_cells,
                 schema,
             );
         }
-        let my_cells = cell_counts(node);
-        for c in &node.children {
-            rec(
-                session,
-                markers,
-                obligations,
-                c,
-                here.clone(),
-                my_cells,
-                schemas,
-            );
-        }
-    }
-    rec(
-        session,
-        markers,
-        obligations,
-        &tree.root,
-        "/".to_string(),
-        (DEFAULT_ADDRESS_CELLS, DEFAULT_SIZE_CELLS),
-        schemas,
-    );
+        Ok::<_, Infallible>(())
+    });
 }
 
 /// Creates a marker assumption for one rule. The variable is named by

@@ -112,6 +112,21 @@ fn fixtures() -> (PathBuf, Vec<(PathBuf, i32)>) {
             1,
         ),
         (write("broken.dts", "this is not a device tree\n"), 2),
+        // GIC specifiers are keyed by (type, number): SPIs 9, 7 and 11
+        // are three lines, and `/b@4000` does not clash with itself.
+        (
+            write(
+                "gic.dts",
+                "/ {\n    #address-cells = <1>; #size-cells = <1>;\n\
+                 \x20   gic: interrupt-controller@1000 { #interrupt-cells = <3>;\n\
+                 \x20       reg = <0x1000 0x100>; };\n\
+                 \x20   b@4000 { reg = <0x4000 0x100>; interrupt-parent = <&gic>;\n\
+                 \x20       interrupts = <0 9 4 0 7 4>; };\n\
+                 \x20   c@5000 { reg = <0x5000 0x100>; interrupt-parent = <&gic>;\n\
+                 \x20       interrupts = <0 11 4>; };\n};\n",
+            ),
+            0,
+        ),
         // Parses fine, but the cell counts are uninterpretable: a tool
         // failure (exit 2), not a finding (exit 1), on both paths.
         (
