@@ -75,8 +75,6 @@ pub struct DeviceRegions {
     pub path: NodePath,
     /// The `device_type` property, if any (e.g. `"memory"`).
     pub device_type: Option<String>,
-    /// The first `compatible` string, if any (e.g. `"ns16550a"`).
-    pub compatible: Option<String>,
     /// Decoded regions.
     pub regions: Vec<RegEntry>,
     /// The `#address-cells`/`#size-cells` pair used to decode.
@@ -195,7 +193,6 @@ fn collect(tree: &DeviceTree, through_ranges: bool) -> Result<Vec<DeviceRegions>
         out.push(DeviceRegions {
             path: path.to_node_path(),
             device_type: node.prop_str("device_type").map(str::to_string),
-            compatible: node.prop_str("compatible").map(str::to_string),
             regions,
             cells,
         });

@@ -4,9 +4,7 @@ use std::collections::HashMap;
 
 use crate::error::{DtsError, Position};
 use crate::lexer::{LexState, Lexer, Token, TokenKind};
-use crate::tree::{
-    note_labels, Cell, ChildIndex, DeviceTree, LabelSink, Node, PropValue, Property,
-};
+use crate::tree::{Cell, ChildIndex, DeviceTree, LabelSink, Node, PropValue, Property};
 
 /// Supplies the contents of `/include/`d files.
 ///
@@ -296,14 +294,7 @@ impl<'s, 'p> Parser<'s, 'p> {
                     self.bump()?;
                     let root = self.parse_node_body(String::new())?;
                     labels.at.clear();
-                    if tree.root == Node::default() {
-                        // A body's children and properties have unique
-                        // names already, so the first block is the root.
-                        tree.root = root;
-                        note_labels(&tree.root, &mut labels);
-                    } else {
-                        tree.root.merge_into(root, &mut labels);
-                    }
+                    tree.root.merge_into(root, &mut labels);
                     self.expect(&TokenKind::Semi, "';' after node")?;
                 }
                 TokenKind::MemReserve => {

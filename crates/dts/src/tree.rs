@@ -1,10 +1,9 @@
 //! The DeviceTree data model: nodes, properties, values and paths.
 
-use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::convert::Infallible;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::BuildHasher;
 
 use crate::error::DtsError;
 
@@ -302,7 +301,11 @@ impl Node {
         if other.children.is_empty() {
             return;
         }
+        // Size for every child being new, as when the first root block
+        // merges into the empty tree, rather than regrowing both.
+        self.children.reserve(other.children.len());
         let mut index = ChildIndex::new(&self.children);
+        index.first.reserve(other.children.len());
         for c in other.children {
             index.insert_into(&mut self.children, c, sink);
         }
@@ -360,34 +363,13 @@ impl Node {
 /// with [`ChildIndex::new`] after anything but [`ChildIndex::insert`]
 /// changes that vector.
 ///
-/// The index keeps each name's keyed hash, not the name: a lookup
-/// confirms the name at the position found, and only two different
-/// names with one 64-bit hash fall back to a scan of the siblings.
+/// The index keeps each name's keyed hash, not the name, so a name is
+/// allocated only in its node: a lookup confirms the name at the
+/// position found, and only two different names with one 64-bit hash
+/// fall back to a scan of the siblings.
 #[derive(Debug, Default)]
 pub(crate) struct ChildIndex {
-    names: RandomState,
-    first: HashMap<u64, usize, BuildHasherDefault<PassThrough>>,
-}
-
-/// The hasher of [`ChildIndex`]'s map, whose keys are already keyed
-/// hashes.
-#[derive(Debug, Default)]
-struct PassThrough(u64);
-
-impl Hasher for PassThrough {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(b);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    first: HashMap<u64, usize>,
 }
 
 impl ChildIndex {
@@ -396,7 +378,7 @@ impl ChildIndex {
         let mut index = ChildIndex::default();
         index.first.reserve(children.len());
         for (i, c) in children.iter().enumerate() {
-            let h = index.names.hash_one(&c.name);
+            let h = index.first.hasher().hash_one(&c.name);
             index.first.entry(h).or_insert(i);
         }
         index
@@ -404,7 +386,7 @@ impl ChildIndex {
 
     /// The position of the first child named `name`, and `name`'s hash.
     fn find(&self, children: &[Node], name: &str) -> (Option<usize>, u64) {
-        let h = self.names.hash_one(name);
+        let h = self.first.hasher().hash_one(name);
         let at = match self.first.get(&h) {
             Some(&i) if children[i].name == name => Some(i),
             Some(_) => children.iter().position(|c| c.name == name),
